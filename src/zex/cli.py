@@ -1,7 +1,8 @@
 """Command-line surface: index computation, construction, connectivity,
 extremal search and maximizer verification.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+3 internal error (any other exception; a one-line message goes to stderr).
 The ``ZEX_THREADS`` environment variable caps the sweep worker count for
 ``search`` and ``verify`` (0 = one worker per CPU; unset = serial).
 Reports are reproducible byte for byte except for the ``elapsed`` timing
@@ -290,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,34 +1,44 @@
 """Exhaustive search over bipartite graphs with prescribed connectivity.
 
-The class of order-``n`` bipartite graphs with vertex (or edge)
-connectivity exactly ``c`` is enumerated by iterating part sizes ``p``
-from 1 to ``n // 2`` and all ``2^(p(n-p))`` cross-part adjacency masks,
-filtering on the exact connectivity value.  Every isomorphism class with
-both parts nonempty is hit at least once; maximization is insensitive to
-labeled duplicates.
+``enumerate_class`` yields the class of order-``n`` bipartite graphs
+with vertex (or edge) connectivity exactly ``c`` as labeled graphs: for
+each part size ``p`` from 1 to ``n // 2`` it tries all ``2^(p(n-p))``
+cross-part adjacency masks and filters on the exact connectivity value.
+Every isomorphism class with both parts nonempty is hit at least once.
 
-``search_max`` reports the maximum index value over a class, every
-maximizer up to isomorphism, and whether the predicted extremal graph
-attains it.  One full sweep per order is cached and shared by all
-(mode, value, index) cells, and the mask space can be split into
-independent chunks processed by worker processes (results are merged by
-an associative max-with-tie-union, so the outcome does not depend on the
-worker count).
+The sweep behind ``search_max`` walks the same space up to row
+permutations.  A mask is a tuple of ``p`` rows (the neighborhoods of
+vertices ``0..p-1`` in the other part), and permuting rows gives an
+isomorphic graph, so only tuples of nonzero, nondecreasing rows are
+visited.  Each one stands for its orbit of ``p! / prod(multiplicity!)``
+labeled masks and is counted with that weight, so class sizes
+(``graphs_enumerated``), maxima and maximizer classes are exactly those
+of the labeled enumeration.  Maximizers are kept as raw neighbor masks
+and only the final ties are canonicalized; each is reported as the
+graph6 of its canonical form, sorted.
+
+One sweep per order is cached and shared by all (mode, value, index)
+cells.  It is split into tasks ``(n, p, lo, hi)``, each a range of
+first-row values, that worker processes can run independently; results
+are merged by an associative max-with-tie-union, so reports do not
+depend on the worker count.
 
 Also here: subset-enumeration brute-force connectivity (the independent
 cross-check for the flow-based module), minimum-cut predicates, and a
 label-invariant canonical form used to deduplicate maximizers.
 
 Scale caps: full sweeps support ``n <= 10``; the canonical form supports
-``n <= 16``.  Desk-scale runtimes only.
+``n <= 16``.  A serial order-10 sweep takes tens of seconds.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, groupby
+from math import comb, factorial
 from typing import Iterator, Optional
 
 from .connectivity import edge_connectivity_value, vertex_connectivity_value
@@ -37,7 +47,6 @@ from .graphs import (
     Bipartition,
     Graph,
     connected_components,
-    decode_graph6,
     encode_graph6,
     is_connected,
     m1,
@@ -147,9 +156,9 @@ def _connected_masks(masks: list[int], full: int) -> bool:
 def _kappa_masks(masks: list[int], n: int) -> int:
     """Exact vertex connectivity of a connected graph given as bitmasks."""
     full = (1 << n) - 1
-    if all(m == full ^ (1 << v) for v, m in enumerate(masks)):
-        return n - 1
     delta = min(m.bit_count() for m in masks)
+    if delta == n - 1:  # complete graph
+        return n - 1
     for j in range(1, delta):
         for combo in combinations(range(n), j):
             removed = 0
@@ -183,26 +192,23 @@ def _kappa_prime_masks(masks: list[int], n: int) -> int:
     return best
 
 
-def _bipartite_masks(n: int, p: int, mask: int) -> Optional[list[int]]:
-    """Neighbor bitmasks for a cross-part adjacency mask, or None when some
+def _bipartite_masks(n: int, p: int, rows: tuple[int, ...]) -> Optional[list[int]]:
+    """Neighbor bitmasks for the cross-part rows (row ``i`` is the ``q``-bit
+    neighborhood of vertex ``i`` in part ``p..n-1``), or None when some
     vertex is isolated (such graphs never reach connectivity >= 1)."""
     q = n - p
-    row_all = (1 << q) - 1
-    rows = []
     cols = 0
-    for i in range(p):
-        row = mask >> (i * q) & row_all
+    for row in rows:
         if row == 0:
             return None
-        rows.append(row)
         cols |= row
-    if cols != row_all:
+    if cols != (1 << q) - 1:
         return None
-    masks = [rows[i] << p for i in range(p)]
+    masks = [row << p for row in rows]
     for j in range(q):
         col = 0
-        for i in range(p):
-            col |= (rows[i] >> j & 1) << i
+        for i, row in enumerate(rows):
+            col |= (row >> j & 1) << i
         masks.append(col)
     return masks
 
@@ -282,8 +288,11 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
     vertex_mode = spec.mode == "vertex"
     full = (1 << n) - 1
     for p in range(1, n // 2 + 1):
-        for mask in range(1 << (p * (n - p))):
-            masks = _bipartite_masks(n, p, mask)
+        q = n - p
+        row_all = (1 << q) - 1
+        for mask in range(1 << (p * q)):
+            rows = tuple(mask >> (i * q) & row_all for i in range(p))
+            masks = _bipartite_masks(n, p, rows)
             if masks is None or not _connected_masks(masks, full):
                 continue
             value = _kappa_masks(masks, n) if vertex_mode else _kappa_prime_masks(masks, n)
@@ -294,14 +303,14 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
 @dataclass
 class _IndexMax:
     best: int = -1
-    ties: list[bytes] = field(default_factory=list)  # graph6 of current maximizers
+    ties: list[tuple[int, ...]] = field(default_factory=list)  # neighbor masks of current maximizers
 
-    def offer(self, value: int, g6: bytes) -> None:
+    def offer(self, value: int, masks: tuple[int, ...]) -> None:
         if value > self.best:
             self.best = value
-            self.ties = [g6]
+            self.ties = [masks]
         elif value == self.best:
-            self.ties.append(g6)
+            self.ties.append(masks)
 
     def merge(self, other: "_IndexMax") -> None:
         if other.best > self.best:
@@ -322,36 +331,50 @@ class _Cell:
             self.by_index[idx].merge(other.by_index[idx])
 
 
+def _orbit_size(rows: tuple[int, ...]) -> int:
+    """Number of distinct orderings of a nondecreasing row tuple:
+    ``p! / prod(multiplicity!)``."""
+    size = factorial(len(rows))
+    for _, run in groupby(rows):
+        size //= factorial(sum(1 for _ in run))
+    return size
+
+
 def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
-    """Process masks ``lo..hi-1`` of part size ``p``; returns per-(mode, c) cells."""
+    """Visit the row-sorted masks of part size ``p`` whose first row lies in
+    ``lo..hi-1``; returns per-(mode, c) cells weighted by orbit size."""
     n, p, lo, hi = args
     full = (1 << n) - 1
+    top = 1 << (n - p)
     cells: dict[tuple[str, int], _Cell] = {}
-    for mask in range(lo, hi):
-        masks = _bipartite_masks(n, p, mask)
-        if masks is None or not _connected_masks(masks, full):
-            continue
-        kappa = _kappa_masks(masks, n)
-        delta = min(m.bit_count() for m in masks)
-        kappa_p = delta if kappa == delta else _kappa_prime_masks(masks, n)
-        degs = [m.bit_count() for m in masks]
-        v1 = sum(d * d for d in degs)
-        v2 = 0
-        for u in range(n):
-            mu = masks[u] >> (u + 1) << (u + 1)
-            du = degs[u]
-            while mu:
-                v = (mu & -mu).bit_length() - 1
-                mu &= mu - 1
-                v2 += du * degs[v]
-        g6 = encode_graph6(_masks_to_graph(masks, n))
-        for mode, value in (("vertex", kappa), ("edge", kappa_p)):
-            cell = cells.get((mode, value))
-            if cell is None:
-                cell = cells[(mode, value)] = _Cell()
-            cell.count += 1
-            cell.by_index["M1"].offer(v1, g6)
-            cell.by_index["M2"].offer(v2, g6)
+    for first in range(lo, hi):
+        for rest in combinations_with_replacement(range(first, top), p - 1):
+            rows = (first, *rest)
+            masks = _bipartite_masks(n, p, rows)
+            if masks is None or not _connected_masks(masks, full):
+                continue
+            kappa = _kappa_masks(masks, n)
+            degs = [m.bit_count() for m in masks]
+            delta = min(degs)
+            kappa_p = delta if kappa == delta else _kappa_prime_masks(masks, n)
+            v1 = sum(d * d for d in degs)
+            v2 = 0
+            for u in range(p):
+                mu = masks[u]
+                du = degs[u]
+                while mu:
+                    v = (mu & -mu).bit_length() - 1
+                    mu &= mu - 1
+                    v2 += du * degs[v]
+            weight = _orbit_size(rows)
+            key = tuple(masks)
+            for mode, value in (("vertex", kappa), ("edge", kappa_p)):
+                cell = cells.get((mode, value))
+                if cell is None:
+                    cell = cells[(mode, value)] = _Cell()
+                cell.count += weight
+                cell.by_index["M1"].offer(v1, key)
+                cell.by_index["M2"].offer(v2, key)
     return cells
 
 
@@ -363,14 +386,29 @@ def _merge_cells(parts: list[dict]) -> dict:
                 merged[key].merge(cell)
             else:
                 merged[key] = cell
-    for cell in merged.values():
-        for idx in _INDICES:
-            cell.by_index[idx].ties.sort()
     return merged
 
 
 _sweep_cache: dict[int, dict] = {}
-_CHUNK_BITS = 14
+_CHUNK_BITS = 12
+
+
+def _sweep_tasks(n: int) -> list[tuple[int, int, int, int]]:
+    """Split the row-sorted masks of order ``n`` into ``(n, p, lo, hi)``
+    first-row ranges of about ``2**_CHUNK_BITS`` masks each."""
+    tasks = []
+    for p in range(1, n // 2 + 1):
+        top = 1 << (n - p)
+        lo = 1
+        size = 0
+        for first in range(1, top):
+            # row-sorted masks whose first row is ``first``
+            size += comb(top - first + p - 2, p - 1)
+            if size >= 1 << _CHUNK_BITS or first == top - 1:
+                tasks.append((n, p, lo, first + 1))
+                lo = first + 1
+                size = 0
+    return tasks
 
 
 def _sweep(n: int, workers: int = 1) -> dict:
@@ -379,14 +417,11 @@ def _sweep(n: int, workers: int = 1) -> dict:
     cached = _sweep_cache.get(n)
     if cached is not None:
         return cached
-    tasks = []
-    for p in range(1, n // 2 + 1):
-        total = 1 << (p * (n - p))
-        step = min(total, 1 << _CHUNK_BITS)
-        tasks.extend((n, p, lo, min(lo + step, total)) for lo in range(0, total, step))
-    if workers > 1 and len(tasks) > 1:
+    tasks = _sweep_tasks(n)
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_chunk, tasks, chunksize=4))
+            parts = list(pool.map(_sweep_chunk, tasks))
     else:
         parts = [_sweep_chunk(t) for t in tasks]
     result = _merge_cells(parts)
@@ -394,12 +429,10 @@ def _sweep(n: int, workers: int = 1) -> dict:
     return result
 
 
-def _dedup_isomorphic(ties: list[bytes]) -> list[str]:
-    reps: dict[bytes, bytes] = {}
-    for g6 in ties:
-        form = canonical_form(decode_graph6(g6))
-        reps.setdefault(form, g6)
-    return sorted(rep.decode("ascii") for rep in reps.values())
+def _dedup_isomorphic(ties: list[tuple[int, ...]]) -> list[str]:
+    """Sorted graph6 of the canonical forms of the tied neighbor-mask tuples."""
+    forms = {_canon_search(masks, len(masks), [0] * len(masks), None) for masks in ties}
+    return sorted(form.decode("ascii") for form in forms)
 
 
 def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> SearchReport:
@@ -409,7 +442,10 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     instead of exactly ``spec.c`` (the prediction then comes from the
     best-predicted class in the union).
 
-    ``graphs_enumerated`` counts the labeled class members examined.
+    ``graphs_enumerated`` counts the labeled class members, as
+    ``enumerate_class`` yields them.  Maximizers are reported as the
+    sorted graph6 strings of their canonical forms, one per isomorphism
+    class; ``matches`` is true when the predicted graph is one of them.
     """
     start = time.perf_counter()
     cells = _sweep(spec.n, workers)
@@ -421,22 +457,19 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
             agg.merge(found)
     note = None
 
-    predicted_graph = None
+    predicted = None
     predicted_value = None
     if spec.n >= 6:
-        best_pred = None
         for c in values:
             if not 1 <= c <= spec.n // 2:
                 continue
             graph = predicted_extremal(spec.n, c, spec.mode)
             value = m1(graph) if spec.index == "M1" else m2(graph)
-            if best_pred is None or value > best_pred[0]:
-                best_pred = (value, graph)
-        if best_pred is not None:
-            predicted_value, pg = best_pred
-            predicted_graph = encode_graph6(pg).decode("ascii")
+            if predicted is None or value > predicted_value:
+                predicted, predicted_value = graph, value
     else:
         note = "no prediction below order 6"
+    predicted_graph = None if predicted is None else encode_graph6(predicted).decode("ascii")
 
     index_max = agg.by_index[spec.index]
     if agg.count == 0:
@@ -455,13 +488,7 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     if len(maximizers) > 1 and note is None:
         # uniqueness of the maximizer is never assumed; ties are surfaced
         note = f"{len(maximizers)} non-isomorphic maximizers tie"
-    matches = False
-    if predicted_graph is not None and index_max.best == predicted_value:
-        target = canonical_form(decode_graph6(predicted_graph.encode("ascii")))
-        matches = any(
-            canonical_form(decode_graph6(mx.encode("ascii"))) == target
-            for mx in maximizers
-        )
+    matches = predicted is not None and canonical_form(predicted).decode("ascii") in maximizers
     return SearchReport(
         spec=spec,
         max_value=index_max.best,

@@ -191,3 +191,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["search", "--n", "6"])
         assert exc.value.code == 2
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
+        import zex.cli as cli_module
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("worker pool broke")
+
+        monkeypatch.setattr(cli_module, "search_max", broken)
+        assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: worker pool broke\n"
+
+    def test_usage_errors_keep_exit_2(self, monkeypatch, capsys):
+        import zex.cli as cli_module
+
+        def rejects(*args, **kwargs):
+            raise ValueError("bad cell")
+
+        monkeypatch.setattr(cli_module, "search_max", rejects)
+        assert main(["search", "--n", "6", "--mode", "vertex", "--c", "1", "--index", "M1"]) == 2
+        assert capsys.readouterr().err == "error: bad cell\n"

@@ -19,6 +19,8 @@ from zex import (
     edge_connectivity_value,
     enumerate_class,
     has_straddling_min_cut,
+    m1,
+    m2,
     minimum_vertex_cuts,
     search_max,
     vertex_connectivity_value,
@@ -150,6 +152,97 @@ class TestSearchMax:
         assert serial.max_value == parallel.max_value
         assert serial.maximizers == parallel.maximizers
         assert serial.graphs_enumerated == parallel.graphs_enumerated
+
+
+class TestWeightedSweep:
+    """The orbit-reduced sweep against the full labeled enumerator."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_class_sizes_match_labeled_enumeration(self, n):
+        for mode in ("vertex", "edge"):
+            for c in range(1, n // 2 + 2):
+                spec = SearchSpec(n, mode, c, "M1")
+                expected = sum(1 for _ in enumerate_class(spec))
+                assert search_max(spec).graphs_enumerated == expected, (mode, c)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_maximizers_are_the_argmax_classes(self, n):
+        for mode in ("vertex", "edge"):
+            for c in range(1, n // 2 + 1):
+                members = list(enumerate_class(SearchSpec(n, mode, c, "M1")))
+                for index, fn in (("M1", m1), ("M2", m2)):
+                    values = [fn(g) for g in members]
+                    best = max(values)
+                    expected = {
+                        canonical_form(g).decode("ascii")
+                        for g, v in zip(members, values)
+                        if v == best
+                    }
+                    report = search_max(SearchSpec(n, mode, c, index))
+                    assert report.max_value == best
+                    assert set(report.maximizers) == expected, (mode, c, index)
+                    assert list(report.maximizers) == sorted(expected)
+
+    def test_maximizers_are_canonical(self):
+        for n in (6, 7, 8):
+            for mode in ("vertex", "edge"):
+                for c in range(1, n // 2 + 1):
+                    for index in ("M1", "M2"):
+                        for g6 in search_max(SearchSpec(n, mode, c, index)).maximizers:
+                            assert canonical_form(decode_graph6(g6.encode())).decode() == g6
+
+    def test_workers_give_equal_reports(self, monkeypatch):
+        import zex.search as search_module
+
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        specs = [SearchSpec(7, mode, c, index)
+                 for mode in ("vertex", "edge") for c in (1, 2, 3) for index in ("M1", "M2")]
+        serial = [search_max(spec).to_dict() for spec in specs]
+        search_module._sweep_cache.clear()
+        pooled = [search_max(spec, workers=2).to_dict() for spec in specs]
+        for d in serial + pooled:
+            d.pop("elapsed")
+        assert serial == pooled
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 5)])
+    def test_workers_bounded_by_cpus_and_tasks(self, monkeypatch, cpus, expected):
+        import os
+
+        import zex.search as search_module
+
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(search_module, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert len(search_module._sweep_tasks(8)) == 5
+        search_module._sweep(8, workers=10_000)
+        assert started == [expected]
+
+    def test_single_worker_starts_no_pool(self, monkeypatch):
+        import zex.search as search_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no pool expected")
+
+        monkeypatch.setattr(search_module, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep(6, workers=1)
 
 
 class TestMinimumCuts:
