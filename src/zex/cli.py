@@ -15,9 +15,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from .connectivity import edge_connectivity, vertex_connectivity
+from .connectivity import MODES, edge_connectivity, vertex_connectivity
 from .families import (
     FamilyParams,
     build_family,
@@ -27,6 +27,7 @@ from .families import (
     predicted_extremal,
 )
 from .graphs import (
+    INDICES,
     Graph,
     GraphFormatError,
     encode_graph6,
@@ -49,8 +50,8 @@ class VerifyRunConfig:
 
     n_min: int
     n_max: int
-    modes: tuple[str, ...] = ("vertex", "edge")
-    indices: tuple[str, ...] = ("M1", "M2")
+    modes: tuple[str, ...] = MODES
+    indices: tuple[str, ...] = INDICES
     out: str | None = None
     fmt: str = "json"
 
@@ -61,10 +62,10 @@ class VerifyRunConfig:
                 f"n_max <= {VERIFY_MAX_ORDER}"
             )
         for mode in self.modes:
-            if mode not in ("vertex", "edge"):
+            if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
         for index in self.indices:
-            if index not in ("M1", "M2"):
+            if index not in INDICES:
                 raise ValueError(f"unknown index {index!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown report format {self.fmt!r}")
@@ -165,24 +166,6 @@ def _verify_cells(config: VerifyRunConfig, workers: int) -> list[SearchReport]:
     return reports
 
 
-def _verify_rows(reports: list[SearchReport]) -> list[dict]:
-    rows = []
-    for r in reports:
-        rows.append(
-            {
-                "n": r.spec.n,
-                "mode": r.spec.mode,
-                "c": r.spec.c,
-                "index": r.spec.index,
-                "max": r.max_value,
-                "predicted": r.predicted_value,
-                "match": r.matches,
-                "num_maximizers": len(r.maximizers),
-            }
-        )
-    return rows
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     config = VerifyRunConfig(
         n_min=args.n_min,
@@ -211,8 +194,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ) + "\n"
         else:
             lines = [",".join(_CSV_COLUMNS)]
-            for row in _verify_rows(reports):
-                lines.append(",".join(str(row[col]) for col in _CSV_COLUMNS))
+            for r in reports:
+                row = (*astuple(r.spec), r.max_value, r.predicted_value, r.matches,
+                       len(r.maximizers))
+                lines.append(",".join(map(str, row)))
             payload = "\n".join(lines) + "\n"
         with open(config.out, "w") as fh:
             fh.write(payload)
@@ -246,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred = con_sub.add_parser("predicted", help="the predicted index maximizer")
     p_pred.add_argument("--n", type=int, required=True)
     p_pred.add_argument("--c", type=int, required=True)
-    p_pred.add_argument("--mode", choices=("vertex", "edge"), default="vertex")
+    p_pred.add_argument("--mode", choices=MODES, default="vertex")
     for sp in (p_fam, p_cb, p_pred):
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
@@ -254,15 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conn = sub.add_parser("connectivity", help="connectivity value and cut witness")
     p_conn.add_argument("input")
-    p_conn.add_argument("--mode", choices=("vertex", "edge"), default="vertex")
+    p_conn.add_argument("--mode", choices=MODES, default="vertex")
     p_conn.add_argument("--format", choices=("auto", "graph6", "edgelist"), default="auto")
     p_conn.set_defaults(func=cmd_connectivity)
 
     p_search = sub.add_parser("search", help="maximize an index over one class")
     p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--mode", choices=("vertex", "edge"), required=True)
+    p_search.add_argument("--mode", choices=MODES, required=True)
     p_search.add_argument("--c", type=int, required=True)
-    p_search.add_argument("--index", choices=("M1", "M2"), required=True)
+    p_search.add_argument("--index", choices=INDICES, required=True)
     p_search.add_argument(
         "--at-least",
         action="store_true",
@@ -274,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check predicted maximizers over a grid")
     p_verify.add_argument("--n-min", type=int, default=VERIFY_MIN_ORDER)
     p_verify.add_argument("--n-max", type=int, default=8)
-    p_verify.add_argument("--modes", default="vertex,edge")
-    p_verify.add_argument("--indices", default="M1,M2")
+    p_verify.add_argument("--modes", default=",".join(MODES))
+    p_verify.add_argument("--indices", default=",".join(INDICES))
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(func=cmd_verify)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .graphs import Graph, is_connected, min_degree
 
 __all__ = [
+    "MODES",
     "CutWitness",
     "vertex_connectivity",
     "edge_connectivity",
@@ -27,6 +28,9 @@ __all__ = [
     "edge_connectivity_value",
     "is_k_connected",
 ]
+
+# the connectivity mode names, as used by search cells, reports and the command line
+MODES = ("vertex", "edge")
 
 
 @dataclass(frozen=True)

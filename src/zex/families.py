@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .connectivity import MODES
 from .graphs import Graph
 
 __all__ = [
@@ -143,8 +144,8 @@ def predicted_extremal(n: int, c: int, mode: str = "vertex") -> Graph:
     otherwise the member with core-A size ``n / 2``.  The same rule covers
     both connectivity modes.
     """
-    if mode not in ("vertex", "edge"):
-        raise ValueError(f"mode must be 'vertex' or 'edge', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if n < 6:
         raise ValueError("predicted maximizers are defined for n >= 6")
     if c < 1 or c > n // 2:

@@ -21,7 +21,7 @@ Supported interchange formats:
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -29,6 +29,8 @@ __all__ = [
     "GraphFormatError",
     "m1",
     "m2",
+    "INDICES",
+    "index_value",
     "min_degree",
     "max_degree",
     "bipartition_of",
@@ -186,6 +188,15 @@ def m2(g: Graph) -> int:
     return sum(deg[u] * deg[v] for u, v in g.edges())
 
 
+# the index names, as used by search cells, reports and the command line
+INDICES = ("M1", "M2")
+
+
+def index_value(name: str, g: Graph) -> int:
+    """The index called ``name`` (one of ``INDICES``) of ``g``."""
+    return m1(g) if name == "M1" else m2(g)
+
+
 def min_degree(g: Graph) -> int:
     """Minimum vertex degree; 0 for edgeless graphs.  Requires ``n >= 1``."""
     if g.n < 1:
@@ -283,14 +294,18 @@ def encode_graph6(g: Graph) -> bytes:
     """
     if g.n > _GRAPH6_MAX_N:
         raise ValueError(f"graph6 single-byte header supports n <= {_GRAPH6_MAX_N}")
-    out = [g.n + 63]
+    return _pack_graph6(g.neighbor_masks, range(g.n))
+
+
+def _pack_graph6(masks: Sequence[int], order: Sequence[int]) -> bytes:
+    """graph6 bytes of the graph whose vertex ``order[i]`` is relabeled ``i``."""
+    out = [len(order) + 63]
     acc = 0
     nbits = 0
-    masks = g.neighbor_masks
-    for v in range(1, g.n):
-        col = masks[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
+    for j in range(1, len(order)):
+        col = masks[order[j]]
+        for i in range(j):
+            acc = acc << 1 | (col >> order[i] & 1)
             nbits += 1
             if nbits == 6:
                 out.append(acc + 63)

@@ -1,31 +1,32 @@
 """Exhaustive search over bipartite graphs with prescribed connectivity.
 
-``enumerate_class`` yields the class of order-``n`` bipartite graphs
-with vertex (or edge) connectivity exactly ``c`` as labeled graphs: for
-each part size ``p`` from 1 to ``n // 2`` it tries all ``2^(p(n-p))``
-cross-part adjacency masks and filters on the exact connectivity value.
-Every isomorphism class with both parts nonempty is hit at least once.
+A cross-part adjacency pattern with part size ``p`` is a tuple of ``p``
+rows (the neighborhoods of vertices ``0..p-1`` in the other part).  One
+classifier, ``_classify``, turns it into neighbor bitmasks, degrees and
+both connectivity values, or rejects it (isolated vertex, disconnected).
+Vertex connectivity comes from one cut enumerator, ``_vertex_cuts``,
+which yields the disconnecting ``k``-subsets in lexicographic order and
+also backs the brute-force route and ``minimum_vertex_cuts``.
 
-The sweep behind ``search_max`` walks the same space up to row
-permutations.  A mask is a tuple of ``p`` rows (the neighborhoods of
-vertices ``0..p-1`` in the other part), and permuting rows gives an
-isomorphic graph, so only tuples of nonzero, nondecreasing rows are
-visited.  Each one stands for its orbit of ``p! / prod(multiplicity!)``
-labeled masks and is counted with that weight, so class sizes
+``enumerate_class`` classifies all ``2^(p(n-p))`` patterns for each ``p``
+from 1 to ``n // 2`` and yields the labeled graphs of connectivity
+exactly ``c``, hitting every isomorphism class at least once.
+The sweep behind ``search_max`` classifies only tuples of nonzero,
+nondecreasing rows (permuting rows gives an isomorphic graph), each
+counted with its orbit size ``p! / prod(multiplicity!)``, so class sizes
 (``graphs_enumerated``), maxima and maximizer classes are exactly those
-of the labeled enumeration.  Maximizers are kept as raw neighbor masks
-and only the final ties are canonicalized; each is reported as the
-graph6 of its canonical form, sorted.
+of the labeled enumeration.  Only the final ties are canonicalized; each
+maximizer is reported as the graph6 of its canonical form, sorted.
 
-One sweep per order is cached and shared by all (mode, value, index)
-cells.  It is split into tasks ``(n, p, lo, hi)``, each a range of
-first-row values, that worker processes can run independently; results
-are merged by an associative max-with-tie-union, so reports do not
-depend on the worker count.
+The sweep of the latest order is cached and shared by all (mode, value,
+index) cells.  It is split into tasks ``(n, p, lo, hi)``, first-row
+ranges that worker processes run independently (a failing task raises
+``SweepTaskError`` naming it); results are merged by an associative
+max-with-tie-union, so reports do not depend on the worker count.
 
-Also here: subset-enumeration brute-force connectivity (the independent
-cross-check for the flow-based module), minimum-cut predicates, and a
-label-invariant canonical form used to deduplicate maximizers.
+Also here: brute-force connectivity (the independent cross-check for the
+flow-based module), minimum-cut predicates, and a label-invariant
+canonical form used to deduplicate maximizers.
 
 Scale caps: full sweeps support ``n <= 10``; the canonical form supports
 ``n <= 16``.  A serial order-10 sweep takes tens of seconds.
@@ -36,21 +37,23 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, combinations_with_replacement, groupby
 from math import comb, factorial
 from typing import Iterator, Optional
 
-from .connectivity import edge_connectivity_value, vertex_connectivity_value
+from .connectivity import MODES, vertex_connectivity_value
 from .families import predicted_extremal
 from .graphs import (
+    INDICES,
     Bipartition,
     Graph,
+    _pack_graph6,
+    _reach,
     connected_components,
     encode_graph6,
+    index_value,
     is_connected,
-    m1,
-    m2,
 )
 
 __all__ = [
@@ -64,13 +67,11 @@ __all__ = [
     "has_straddling_min_cut",
     "cut_component_profile",
     "canonical_form",
+    "SweepTaskError",
 ]
 
 MAX_SWEEP_ORDER = 10
 MAX_CANONICAL_ORDER = 16
-
-_MODES = ("vertex", "edge")
-_INDICES = ("M1", "M2")
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,10 @@ class SearchSpec:
             raise ValueError("search requires n >= 2")
         if self.c < 1:
             raise ValueError("search requires c >= 1")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.index not in _INDICES:
-            raise ValueError(f"index must be one of {_INDICES}, got {self.index!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.index not in INDICES:
+            raise ValueError(f"index must be one of {INDICES}, got {self.index!r}")
 
 
 @dataclass
@@ -112,69 +113,47 @@ class SearchReport:
     note: Optional[str] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "spec": {
-                "n": self.spec.n,
-                "mode": self.spec.mode,
-                "c": self.spec.c,
-                "index": self.spec.index,
-            },
-            "max_value": self.max_value,
-            "maximizers": list(self.maximizers),
-            "predicted_graph": self.predicted_graph,
-            "predicted_value": self.predicted_value,
-            "matches": self.matches,
-            "graphs_enumerated": self.graphs_enumerated,
-            "elapsed": self.elapsed,
-        }
-        if self.note is not None:
-            d["note"] = self.note
+        d = asdict(self)
+        d["maximizers"] = list(self.maximizers)
+        if self.note is None:
+            del d["note"]
         return d
 
 
 # -- bitmask primitives -------------------------------------------------------
 
-def _reach_masks(masks: list[int], start: int, alive: int) -> int:
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt |= masks[v]
-        frontier = nxt & alive & ~seen
-        seen |= frontier
-    return seen
-
-
 def _connected_masks(masks: list[int], full: int) -> bool:
-    return _reach_masks(masks, full & -full, full) == full
+    return _reach(masks, full & -full, full) == full
 
 
-def _kappa_masks(masks: list[int], n: int) -> int:
-    """Exact vertex connectivity of a connected graph given as bitmasks."""
+def _vertex_cuts(masks: list[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The ``k``-subsets of ``0..n-1`` whose removal disconnects the rest,
+    in lexicographic order."""
     full = (1 << n) - 1
-    delta = min(m.bit_count() for m in masks)
-    if delta == n - 1:  # complete graph
-        return n - 1
-    for j in range(1, delta):
-        for combo in combinations(range(n), j):
-            removed = 0
-            for v in combo:
-                removed |= 1 << v
-            alive = full & ~removed
-            if _reach_masks(masks, alive & -alive, alive) != alive:
-                return j
-    return delta
+    for combo in combinations(range(n), k):
+        alive = full
+        for v in combo:
+            alive &= ~(1 << v)
+        if _reach(masks, alive & -alive, alive) != alive:
+            yield combo
 
 
-def _kappa_prime_masks(masks: list[int], n: int) -> int:
-    """Exact edge connectivity of a connected graph: minimum edge boundary
-    over all proper vertex subsets containing vertex 0."""
+def _kappa_masks(masks: list[int], n: int, bound: int) -> int:
+    """Exact vertex connectivity of a connected graph given as bitmasks:
+    the smallest cut size below ``bound``, else ``bound`` (the minimum
+    degree is a valid bound, and ``n - 1`` makes no assumption)."""
+    for k in range(1, bound):
+        if next(_vertex_cuts(masks, n, k), None) is not None:
+            return k
+    return bound
+
+
+def _kappa_prime_masks(masks: list[int], n: int, delta: int) -> int:
+    """Exact edge connectivity of a connected graph with minimum degree
+    ``delta``: minimum edge boundary over all proper vertex subsets
+    containing vertex 0."""
     full = (1 << n) - 1
-    best = min(m.bit_count() for m in masks)
+    best = delta
     for w in range(1, full, 2):  # subsets with vertex 0, excluding the full set
         boundary = 0
         outside = ~w
@@ -213,6 +192,22 @@ def _bipartite_masks(n: int, p: int, rows: tuple[int, ...]) -> Optional[list[int
     return masks
 
 
+def _classify(n: int, p: int, rows: tuple[int, ...]) -> Optional[tuple]:
+    """``(masks, degrees, (kappa, kappa_prime))`` of the bipartite graph with
+    cross-part ``rows`` (see ``_bipartite_masks``), or None when it has an
+    isolated vertex or is disconnected.  The connectivity values are in
+    ``MODES`` order."""
+    masks = _bipartite_masks(n, p, rows)
+    if masks is None or not _connected_masks(masks, (1 << n) - 1):
+        return None
+    degs = [m.bit_count() for m in masks]
+    delta = min(degs)
+    kappa = _kappa_masks(masks, n, delta)
+    # kappa <= kappa' <= delta
+    kappa_p = delta if kappa == delta else _kappa_prime_masks(masks, n, delta)
+    return masks, degs, (kappa, kappa_p)
+
+
 def _masks_to_graph(masks: list[int], n: int) -> Graph:
     return Graph(
         n,
@@ -233,26 +228,14 @@ def brute_force_vertex_connectivity(g: Graph) -> int:
         raise ValueError("connectivity requires at least one vertex")
     if not is_connected(g):
         return 0
-    masks = list(g.neighbor_masks)
-    full = (1 << g.n) - 1
-    for j in range(1, g.n - 1):
-        for combo in combinations(range(g.n), j):
-            removed = 0
-            for v in combo:
-                removed |= 1 << v
-            alive = full & ~removed
-            if _reach_masks(masks, alive & -alive, alive) != alive:
-                return j
-    return g.n - 1
+    return _kappa_masks(list(g.neighbor_masks), g.n, g.n - 1)
 
 
 def brute_force_edge_connectivity(g: Graph) -> int:
     """Edge connectivity by enumerating edge subsets in increasing size."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
-    if g.n == 1:
-        return 0
-    if not is_connected(g):
+    if g.n == 1 or not is_connected(g):
         return 0
     edges = g.edges()
     full = (1 << g.n) - 1
@@ -263,7 +246,7 @@ def brute_force_edge_connectivity(g: Graph) -> int:
             for u, v in combo:
                 masks[u] &= ~(1 << v)
                 masks[v] &= ~(1 << u)
-            if _reach_masks(masks, 1, full) != full:
+            if _reach(masks, 1, full) != full:
                 return j
     raise AssertionError("unreachable: removing all edges disconnects any n >= 2 graph")
 
@@ -284,20 +267,15 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
     valid contiguous representation.
     """
     _check_sweep_order(spec.n)
-    n, c = spec.n, spec.c
-    vertex_mode = spec.mode == "vertex"
-    full = (1 << n) - 1
+    n = spec.n
+    which = MODES.index(spec.mode)
     for p in range(1, n // 2 + 1):
         q = n - p
         row_all = (1 << q) - 1
         for mask in range(1 << (p * q)):
-            rows = tuple(mask >> (i * q) & row_all for i in range(p))
-            masks = _bipartite_masks(n, p, rows)
-            if masks is None or not _connected_masks(masks, full):
-                continue
-            value = _kappa_masks(masks, n) if vertex_mode else _kappa_prime_masks(masks, n)
-            if value == c:
-                yield _masks_to_graph(masks, n)
+            found = _classify(n, p, tuple(mask >> (i * q) & row_all for i in range(p)))
+            if found is not None and found[2][which] == spec.c:
+                yield _masks_to_graph(found[0], n)
 
 
 @dataclass
@@ -323,11 +301,11 @@ class _IndexMax:
 @dataclass
 class _Cell:
     count: int = 0
-    by_index: dict = field(default_factory=lambda: {"M1": _IndexMax(), "M2": _IndexMax()})
+    by_index: dict = field(default_factory=lambda: {idx: _IndexMax() for idx in INDICES})
 
     def merge(self, other: "_Cell") -> None:
         self.count += other.count
-        for idx in _INDICES:
+        for idx in INDICES:
             self.by_index[idx].merge(other.by_index[idx])
 
 
@@ -344,19 +322,15 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
     """Visit the row-sorted masks of part size ``p`` whose first row lies in
     ``lo..hi-1``; returns per-(mode, c) cells weighted by orbit size."""
     n, p, lo, hi = args
-    full = (1 << n) - 1
     top = 1 << (n - p)
     cells: dict[tuple[str, int], _Cell] = {}
     for first in range(lo, hi):
         for rest in combinations_with_replacement(range(first, top), p - 1):
             rows = (first, *rest)
-            masks = _bipartite_masks(n, p, rows)
-            if masks is None or not _connected_masks(masks, full):
+            found = _classify(n, p, rows)
+            if found is None:
                 continue
-            kappa = _kappa_masks(masks, n)
-            degs = [m.bit_count() for m in masks]
-            delta = min(degs)
-            kappa_p = delta if kappa == delta else _kappa_prime_masks(masks, n)
+            masks, degs, values = found
             v1 = sum(d * d for d in degs)
             v2 = 0
             for u in range(p):
@@ -368,7 +342,7 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
                     v2 += du * degs[v]
             weight = _orbit_size(rows)
             key = tuple(masks)
-            for mode, value in (("vertex", kappa), ("edge", kappa_p)):
+            for mode, value in zip(MODES, values):
                 cell = cells.get((mode, value))
                 if cell is None:
                     cell = cells[(mode, value)] = _Cell()
@@ -382,10 +356,7 @@ def _merge_cells(parts: list[dict]) -> dict:
     merged: dict[tuple[str, int], _Cell] = {}
     for part in parts:
         for key, cell in part.items():
-            if key in merged:
-                merged[key].merge(cell)
-            else:
-                merged[key] = cell
+            merged.setdefault(key, _Cell()).merge(cell)
     return merged
 
 
@@ -411,8 +382,22 @@ def _sweep_tasks(n: int) -> list[tuple[int, int, int, int]]:
     return tasks
 
 
+class SweepTaskError(RuntimeError):
+    """A sweep task ``(n, p, lo, hi)`` raised; the message names the task."""
+
+
+def _run_task(task: tuple[int, int, int, int]) -> dict:
+    try:
+        return _sweep_chunk(task)
+    except Exception as exc:
+        raise SweepTaskError(
+            f"sweep task (n, p, lo, hi) = {task} failed: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def _sweep(n: int, workers: int = 1) -> dict:
-    """All (mode, connectivity) cells of the full order-``n`` sweep, cached."""
+    """All (mode, connectivity) cells of the full order-``n`` sweep.
+    Only the latest order is cached, as callers walk orders in turn."""
     _check_sweep_order(n)
     cached = _sweep_cache.get(n)
     if cached is not None:
@@ -421,10 +406,11 @@ def _sweep(n: int, workers: int = 1) -> dict:
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_chunk, tasks))
+            parts = list(pool.map(_run_task, tasks))
     else:
-        parts = [_sweep_chunk(t) for t in tasks]
+        parts = [_run_task(t) for t in tasks]
     result = _merge_cells(parts)
+    _sweep_cache.clear()
     _sweep_cache[n] = result
     return result
 
@@ -464,7 +450,7 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
             if not 1 <= c <= spec.n // 2:
                 continue
             graph = predicted_extremal(spec.n, c, spec.mode)
-            value = m1(graph) if spec.index == "M1" else m2(graph)
+            value = index_value(spec.index, graph)
             if predicted is None or value > predicted_value:
                 predicted, predicted_value = graph, value
     else:
@@ -472,26 +458,16 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     predicted_graph = None if predicted is None else encode_graph6(predicted).decode("ascii")
 
     index_max = agg.by_index[spec.index]
-    if agg.count == 0:
-        return SearchReport(
-            spec=spec,
-            max_value=None,
-            maximizers=(),
-            predicted_graph=predicted_graph,
-            predicted_value=predicted_value,
-            matches=False,
-            graphs_enumerated=0,
-            elapsed=time.perf_counter() - start,
-            note="empty class",
-        )
-    maximizers = _dedup_isomorphic(index_max.ties)
-    if len(maximizers) > 1 and note is None:
+    maximizers = _dedup_isomorphic(index_max.ties)  # no ties in an empty class
+    if not agg.count:
+        note = "empty class"
+    elif len(maximizers) > 1 and note is None:
         # uniqueness of the maximizer is never assumed; ties are surfaced
         note = f"{len(maximizers)} non-isomorphic maximizers tie"
     matches = predicted is not None and canonical_form(predicted).decode("ascii") in maximizers
     return SearchReport(
         spec=spec,
-        max_value=index_max.best,
+        max_value=index_max.best if agg.count else None,
         maximizers=tuple(maximizers),
         predicted_graph=predicted_graph,
         predicted_value=predicted_value,
@@ -511,19 +487,10 @@ def minimum_vertex_cuts(g: Graph) -> list[frozenset[int]]:
     are already disconnected.
     """
     kappa = vertex_connectivity_value(g)
-    if kappa == 0 or g.num_edges == g.n * (g.n - 1) // 2:
+    if kappa == 0:
         return []
-    masks = list(g.neighbor_masks)
-    full = (1 << g.n) - 1
-    cuts = []
-    for combo in combinations(range(g.n), kappa):
-        removed = 0
-        for v in combo:
-            removed |= 1 << v
-        alive = full & ~removed
-        if alive and _reach_masks(masks, alive & -alive, alive) != alive:
-            cuts.append(frozenset(combo))
-    return cuts
+    # a complete graph has no disconnecting (n - 1)-subset, so it yields none
+    return [frozenset(cut) for cut in _vertex_cuts(list(g.neighbor_masks), g.n, kappa)]
 
 
 def has_straddling_min_cut(g: Graph, b: Bipartition) -> bool:
@@ -581,28 +548,6 @@ def _twin_cell(masks: tuple[int, ...], members: list[int]) -> bool:
     return all_open or all_closed
 
 
-def _encode_leaf(masks: tuple[int, ...], n: int, colors: list[int]) -> bytes:
-    order = sorted(range(n), key=lambda v: (colors[v], v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    out = [n + 63]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        vj = order[j]
-        for i in range(j):
-            acc = acc << 1 | (masks[order[i]] >> vj & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
-
-
 def _canon_search(masks: tuple[int, ...], n: int, colors: list[int], best: Optional[bytes]) -> bytes:
     colors = _refine(masks, n, colors)
     cells: dict[int, list[int]] = {}
@@ -615,7 +560,7 @@ def _canon_search(masks: tuple[int, ...], n: int, colors: list[int], best: Optio
             target = members
             break
     if target is None:
-        enc = _encode_leaf(masks, n, colors)
+        enc = _pack_graph6(masks, sorted(range(n), key=lambda v: (colors[v], v)))
         return enc if best is None or enc < best else best
     for x in target:
         child = [c * 2 for c in colors]
@@ -633,6 +578,4 @@ def canonical_form(g: Graph) -> bytes:
     """
     if g.n > MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}")
-    if g.n == 0:
-        return encode_graph6(g)
     return _canon_search(g.neighbor_masks, g.n, [0] * g.n, None)

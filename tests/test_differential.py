@@ -1,0 +1,51 @@
+"""networkx as a third route for the bitmask kernels that the sweep,
+``enumerate_class`` and the brute-force connectivity now share."""
+
+import random
+
+import pytest
+
+from conftest import DEFAULT_SEED, random_connected_bipartite, random_graph
+from zex import (
+    SearchSpec,
+    brute_force_vertex_connectivity,
+    enumerate_class,
+    minimum_vertex_cuts,
+)
+
+nx = pytest.importorskip("networkx")
+
+
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_minimum_vertex_cuts_match_all_node_cuts():
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(150):
+        # connected bipartite graphs of order >= 3 are never complete
+        g = random_connected_bipartite(rng, rng.randint(3, 9), rng.choice([0.3, 0.5, 0.8]))
+        expected = {frozenset(cut) for cut in nx.all_node_cuts(to_nx(g))}
+        got = minimum_vertex_cuts(g)
+        assert len(got) == len(set(got)), g
+        assert set(got) == expected, g
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_order5_class_members_have_the_class_connectivity(mode):
+    measure = nx.node_connectivity if mode == "vertex" else nx.edge_connectivity
+    for c in (1, 2, 3):
+        members = list(enumerate_class(SearchSpec(5, mode, c, "M1")))
+        assert bool(members) == (c <= 2), c
+        for g in members:
+            assert measure(to_nx(g)) == c, (g, c)
+
+
+def test_brute_force_vertex_connectivity_matches_networkx():
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.6, 0.9]))
+        assert brute_force_vertex_connectivity(g) == nx.node_connectivity(to_nx(g)), g

@@ -245,6 +245,84 @@ class TestPoolSize:
         search_module._sweep(6, workers=1)
 
 
+class TestSweepCache:
+    def test_holds_only_the_latest_order(self, monkeypatch):
+        import zex.search as search_module
+
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep(6)
+        search_module._sweep(7)
+        assert list(search_module._sweep_cache) == [7]
+
+
+class TestSweepTaskError:
+    """A failing sweep task is named in the error; no pool is started."""
+
+    @staticmethod
+    def _break_chunks(monkeypatch):
+        import zex.search as search_module
+
+        def broken(task):
+            raise ZeroDivisionError("bad row")
+
+        monkeypatch.setattr(search_module, "_sweep_chunk", broken)
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        return search_module
+
+    def test_serial_failure_names_the_task(self, monkeypatch):
+        search_module = self._break_chunks(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no pool expected")
+
+        monkeypatch.setattr(search_module, "ProcessPoolExecutor", refuse)
+        first = search_module._sweep_tasks(6)[0]
+        with pytest.raises(search_module.SweepTaskError) as exc:
+            search_module._sweep(6, workers=1)
+        assert str(exc.value) == (
+            f"sweep task (n, p, lo, hi) = {first} failed: ZeroDivisionError: bad row"
+        )
+
+    def test_pooled_path_wraps_the_same_way(self, monkeypatch):
+        search_module = self._break_chunks(monkeypatch)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
+        with pytest.raises(search_module.SweepTaskError, match=r"\(6, 1, 1, 32\)"):
+            search_module._sweep(6, workers=2)
+
+    def test_error_survives_pickling(self):
+        import pickle
+
+        from zex.search import SweepTaskError
+
+        err = SweepTaskError("sweep task (n, p, lo, hi) = (6, 1, 1, 32) failed: X: y")
+        assert str(pickle.loads(pickle.dumps(err))) == str(err)
+
+    def test_cli_exit_code_is_3(self, monkeypatch, capsys):
+        from zex.cli import main
+
+        self._break_chunks(monkeypatch)
+        assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "internal error: SweepTaskError: sweep task (n, p, lo, hi) = (6, 1, 1, 32) failed"
+        )
+
+
 class TestMinimumCuts:
     def test_k23_unique_cut_is_small_side(self):
         assert minimum_vertex_cuts(complete_bipartite(2, 3)) == [frozenset({0, 1})]

@@ -1,0 +1,67 @@
+"""Guard for the benchmark tracer: every function it wraps must still exist
+under the name it uses, and a traced sweep must still count the kernels."""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+
+if not TRACER_PATH.exists():
+    pytest.skip("perfbench/tracer.py is not in this checkout", allow_module_level=True)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("zex_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves():
+    for module_name, attr, _ in load_tracer().TARGETS:
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{module_name}.{attr}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module_name}.{attr}"
+
+
+def test_traced_sweep_counts_every_kernel(tmp_path):
+    from zex.search import _sweep_tasks
+
+    tracer = load_tracer()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("ZEX_THREADS", None)
+    done = subprocess.run(
+        [sys.executable, str(TRACER_PATH), str(tmp_path), "verify", "--n-min", "7", "--n-max", "7"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    merged = tracer.merge(str(tmp_path))
+    stats, results = merged["stats"], merged["results"]
+
+    def calls(name):
+        return stats[name][0]
+
+    # order 7 is the first whose sweep needs the edge kernel (kappa < delta);
+    # its row-sorted masks are the multisets of p nonzero rows of 7 - p bits
+    scanned = sum(comb((1 << (7 - p)) - 1 + p - 1, p) for p in range(1, 4))
+    isolated = results["search._bipartite_masks"].get("isolated", 0)
+    disconnected = results["search._connected_masks"].get("disconnected", 0)
+    assert calls("search._sweep_chunk") == len(_sweep_tasks(7))
+    assert calls("search._bipartite_masks") == scanned
+    assert calls("search._connected_masks") == scanned - isolated
+    assert calls("search._kappa_masks") == scanned - isolated - disconnected
+    assert 0 < calls("search._kappa_prime_masks") < calls("search._kappa_masks")
+    for name in ("search._dedup_isomorphic", "search.canonical_form",
+                 "families.predicted_extremal", "graphs.m1", "graphs.m2", "cli.cmd_verify"):
+        assert calls(name) > 0, name
