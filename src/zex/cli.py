@@ -61,12 +61,12 @@ class VerifyRunConfig:
                 f"verification orders must satisfy {VERIFY_MIN_ORDER} <= n_min <= "
                 f"n_max <= {VERIFY_MAX_ORDER}"
             )
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r}")
-        for index in self.indices:
-            if index not in INDICES:
-                raise ValueError(f"unknown index {index!r}")
+        for kind, names, known in (("mode", self.modes, MODES), ("index", self.indices, INDICES)):
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}")
+                if name in names[:i]:
+                    raise ValueError(f"repeated {kind} {name!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown report format {self.fmt!r}")
 

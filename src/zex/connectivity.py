@@ -1,13 +1,28 @@
 """Exact vertex and edge connectivity via unit-capacity maximum flow.
 
+One kernel, ``_unit_flow``, computes every flow.  It works on out-neighbor
+bitmasks, like the rest of the package: node ``u`` has a unit arc to every
+bit of ``arcs[u]``, the flow is kept as bitmasks too, and each augmenting
+path is a shortest residual path found by breadth-first search.  No flow
+network is built per ``(s, t)`` pair.
+
+Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
+vertex 0, run directly on ``Graph.neighbor_masks`` (an undirected edge is
+a pair of antiparallel unit arcs).
+
 Vertex connectivity of a non-complete graph is the minimum over
 non-adjacent pairs ``(s, t)`` of the number of internally vertex-disjoint
-``s``-``t`` paths, computed by max-flow on the vertex-split digraph (every
-vertex becomes an in/out arc of capacity one).  Edge connectivity is the
-minimum over sinks ``t != s0`` of max-flow with unit edge capacities.
+``s``-``t`` paths.  These are flows in the vertex-split digraph, built once
+per graph: in-node ``2v`` has one arc to out-node ``2v + 1``, and out-node
+``2u + 1`` has an arc to in-node ``2w`` for every neighbor ``w`` of ``u``.
+Sources are bounded by Even's rule (Even, SIAM J. Comput. 1975; Esfahanian
+and Hakimi, Networks 1984): only ``s = 0, ..., kappa`` are needed, so the
+scan stops at the first ``s`` not below the best value found.  Of the
+kappa + 1 vertices ``0..kappa`` one lies outside a minimum cut ``S``; the
+first such vertex has all smaller vertices in ``S``, so ``S`` separates it
+from some larger vertex.
 
-Integer flows make both computations exact; graphs here are small enough
-(order <= 62) that asymptotics are irrelevant.
+Integer flows make both computations exact.
 
 All functions are pure; witnesses are deterministic: among all minimum
 cuts the lexicographically smallest member list is returned.
@@ -16,6 +31,7 @@ cuts the lexicographically smallest member list is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphs import Graph, is_connected, min_degree
 
@@ -51,86 +67,58 @@ class CutWitness:
     complete: bool = False
 
 
-class _Dinic:
-    """Unit-capacity max flow (shortest augmenting paths, blocking flow)."""
+def _unit_flow(arcs: Sequence[int], s: int, t: int, cutoff: int) -> int:
+    """Max s-t flow, capped at ``cutoff``, in the digraph with a unit arc ``u -> v``
+    for every bit ``v`` of ``arcs[u]``.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int, cutoff: int) -> int:
-        flow = 0
-        to, cap, head = self.to, self.cap, self.head
-        while flow < cutoff:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in head[u]:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
+    The flow is kept as bitmasks: bit ``v`` of ``fwd[u]`` is one unit on
+    ``u -> v`` and ``back`` is the transpose of ``fwd``.  Each augmenting
+    path is a shortest residual path.  Along it a unit on the reverse arc
+    is cancelled before the arc itself is used, so antiparallel arcs (the
+    two directions of an undirected edge) never both carry flow.
+    """
+    fwd = [0] * len(arcs)
+    back = [0] * len(arcs)
+    flow = 0
+    while flow < cutoff:
+        parent: dict[int, int] = {}
+        queue = [s]
+        seen = 1 << s
+        for u in queue:
+            nxt = ((arcs[u] & ~fwd[u]) | back[u]) & ~seen
+            seen |= nxt
+            while nxt:
+                low = nxt & -nxt
+                v = low.bit_length() - 1
+                parent[v] = u
+                queue.append(v)
+                nxt ^= low
+            if seen >> t & 1:
                 break
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(head[u]):
-                    e = head[u][it[u]]
-                    v = to[e]
-                    if cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, cap[e]))
-                        if got:
-                            cap[e] -= got
-                            cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while flow < cutoff:
-                pushed = dfs(s, cutoff - flow)
-                if not pushed:
-                    break
-                flow += pushed
-        return flow
+        else:
+            return flow
+        v = t
+        while v != s:
+            u = parent[v]
+            if back[u] >> v & 1:
+                back[u] ^= 1 << v
+                fwd[v] ^= 1 << u
+            else:
+                fwd[u] |= 1 << v
+                back[v] |= 1 << u
+            v = u
+        flow += 1
+    return flow
 
 
-def _vertex_flow(g: Graph, s: int, t: int, cutoff: int) -> int:
+def _vertex_flow(split: Sequence[int], s: int, t: int, cutoff: int) -> int:
     """Max number of internally vertex-disjoint s-t paths, capped at cutoff."""
-    n = g.n
-    net = _Dinic(2 * n)
-    big = n  # effectively infinite for unit vertex capacities
-    for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, 1 if v not in (s, t) else big)
-    for u, v in g.edges():
-        net.add_edge(2 * u + 1, 2 * v, big)
-        net.add_edge(2 * v + 1, 2 * u, big)
-    return net.max_flow(2 * s + 1, 2 * t, cutoff)
+    return _unit_flow(split, 2 * s + 1, 2 * t, cutoff)
 
 
-def _edge_flow(g: Graph, s: int, t: int, cutoff: int) -> int:
-    net = _Dinic(g.n)
-    for u, v in g.edges():
-        net.add_edge(u, v, 1)
-        net.add_edge(v, u, 1)
-    return net.max_flow(s, t, cutoff)
-
-
-def _is_complete(g: Graph) -> bool:
-    return g.num_edges == g.n * (g.n - 1) // 2
+def _edge_flow(masks: Sequence[int], s: int, t: int, cutoff: int) -> int:
+    """Max number of edge-disjoint s-t paths, capped at cutoff."""
+    return _unit_flow(masks, s, t, cutoff)
 
 
 def vertex_connectivity_value(g: Graph) -> int:
@@ -139,17 +127,17 @@ def vertex_connectivity_value(g: Graph) -> int:
         raise ValueError("connectivity requires at least one vertex")
     if not is_connected(g):
         return 0
-    if _is_complete(g):
-        return g.n - 1
+    split: list[int] = []
+    for v in range(g.n):
+        split.append(1 << (2 * v + 1))
+        split.append(sum(1 << 2 * w for w in g.neighbors(v)))
     best = min_degree(g)
-    masks = g.neighbor_masks
     for s in range(g.n):
-        if best == 0:
+        if s >= best:
             break
         for t in range(s + 1, g.n):
-            if masks[s] >> t & 1:
-                continue
-            best = min(best, _vertex_flow(g, s, t, best))
+            if not g.has_edge(s, t):
+                best = min(best, _vertex_flow(split, s, t, best))
     return best
 
 
@@ -157,15 +145,11 @@ def edge_connectivity_value(g: Graph) -> int:
     """Edge connectivity: 0 when disconnected or n = 1."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
-    if g.n == 1:
-        return 0
     if not is_connected(g):
         return 0
     best = min_degree(g)
     for t in range(1, g.n):
-        if best == 0:
-            break
-        best = min(best, _edge_flow(g, 0, t, best))
+        best = min(best, _edge_flow(g.neighbor_masks, 0, t, best))
     return best
 
 
@@ -175,7 +159,8 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     Greedy: a prefix F extends to a minimum cut iff the graph minus F has
     connectivity exactly kappa - |F| (removing part of a minimum cut can
     never drop connectivity below that, and a matching cut of the
-    remainder completes F).
+    remainder completes F).  At |F| = kappa that connectivity is 0, which
+    means disconnected: g is not complete, so at least two vertices remain.
     """
     chosen: list[int] = []
     for v in range(g.n):
@@ -183,11 +168,7 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
             break
         trial = chosen + [v]
         sub = g.induced(u for u in range(g.n) if u not in trial)
-        if len(trial) == kappa:
-            ok = not is_connected(sub) and sub.n >= 2
-        else:
-            ok = sub.n >= 2 and vertex_connectivity_value(sub) == kappa - len(trial)
-        if ok:
+        if vertex_connectivity_value(sub) == kappa - len(trial):
             chosen.append(v)
     return tuple(chosen)
 
@@ -199,11 +180,7 @@ def _lex_min_edge_cut(g: Graph, kappa_p: int) -> tuple[tuple[int, int], ...]:
             break
         trial = chosen + [e]
         sub = g.with_edges_changed(removed=trial)
-        if len(trial) == kappa_p:
-            ok = not is_connected(sub)
-        else:
-            ok = edge_connectivity_value(sub) == kappa_p - len(trial)
-        if ok:
+        if edge_connectivity_value(sub) == kappa_p - len(trial):
             chosen.append(e)
     return tuple(chosen)
 
@@ -214,24 +191,16 @@ def vertex_connectivity(g: Graph) -> tuple[int, CutWitness]:
     Complete graphs (including K1) have no vertex cut: the witness carries
     the ``complete`` flag, empty members and size ``n - 1``.
     """
-    if g.n >= 1 and _is_complete(g):
-        return g.n - 1, CutWitness("vertex-cut", (), g.n - 1, complete=True)
     value = vertex_connectivity_value(g)
-    if value == 0:
-        return 0, CutWitness("vertex-cut", (), 0)
-    members = _lex_min_vertex_cut(g, value)
-    return value, CutWitness("vertex-cut", members, value)
+    if value == g.n - 1:
+        return value, CutWitness("vertex-cut", (), value, complete=True)
+    return value, CutWitness("vertex-cut", _lex_min_vertex_cut(g, value), value)
 
 
 def edge_connectivity(g: Graph) -> tuple[int, CutWitness]:
     """Edge connectivity with a minimum-cut witness (empty members when no cut exists)."""
-    if g.n == 1:
-        return 0, CutWitness("edge-cut", (), 0, complete=True)
     value = edge_connectivity_value(g)
-    if value == 0:
-        return 0, CutWitness("edge-cut", (), 0)
-    members = _lex_min_edge_cut(g, value)
-    return value, CutWitness("edge-cut", members, value)
+    return value, CutWitness("edge-cut", _lex_min_edge_cut(g, value), value, complete=g.n == 1)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

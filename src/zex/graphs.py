@@ -424,13 +424,13 @@ def format_edge_list(g: Graph) -> str:
 def read_graph_file(path: str, fmt: str = "auto") -> Graph:
     """Load a graph from ``path`` in graph6 or edge-list format.
 
-    ``fmt="auto"`` sniffs the content: a first line of two integers is
-    treated as an edge list, anything else as graph6.
+    ``fmt="auto"`` sniffs the content: a first nonblank line of two
+    integers is treated as an edge list, anything else as graph6.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if fmt == "auto":
-        first = raw.splitlines()[0].split() if raw.strip() else []
+        first = next((ln.split() for ln in raw.splitlines() if ln.strip()), [])
         if len(first) == 2 and all(tok.isdigit() for tok in first):
             fmt = "edgelist"
         else:

@@ -166,6 +166,11 @@ class TestVerifyCommand:
         assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 2
         assert "ZEX_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,names", [("--modes", "vertex,vertex"), ("--indices", "M1,M2,M1")])
+    def test_rejects_repeated_names(self, flag, names, capsys):
+        assert main(["verify", "--n-min", "6", "--n-max", "6", flag, names]) == 2
+        assert "repeated" in capsys.readouterr().err
+
 
 class TestVerifyRunConfig:
     def test_rejects_bad_range(self):

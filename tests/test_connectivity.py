@@ -165,6 +165,26 @@ class TestWitnesses:
             assert witness.members == min(cuts)
 
 
+class TestEvenSourceBound:
+    def test_sources_stop_at_kappa(self, monkeypatch):
+        from zex import connectivity, predicted_extremal
+
+        perm = list(range(20))
+        random.Random(DEFAULT_SEED).shuffle(perm)
+        g = predicted_extremal(20, 3).relabeled(perm)
+        flow = connectivity._vertex_flow
+        sources = []
+
+        def recording(split, s, t, cutoff):
+            sources.append(s)
+            return flow(split, s, t, cutoff)
+
+        monkeypatch.setattr(connectivity, "_vertex_flow", recording)
+        kappa = vertex_connectivity_value(g)
+        assert kappa == 3
+        assert sources and max(sources) <= kappa
+
+
 class TestFlowMatchesBruteForce:
     # the exhaustive n <= 6 sweep is acceptance criterion 6; sample larger orders here
     def test_random_graphs_n7_n8(self):

@@ -9,8 +9,11 @@ from conftest import DEFAULT_SEED, random_connected_bipartite, random_graph
 from zex import (
     SearchSpec,
     brute_force_vertex_connectivity,
+    edge_connectivity,
     enumerate_class,
+    is_connected,
     minimum_vertex_cuts,
+    vertex_connectivity,
 )
 
 nx = pytest.importorskip("networkx")
@@ -49,3 +52,19 @@ def test_brute_force_vertex_connectivity_matches_networkx():
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.6, 0.9]))
         assert brute_force_vertex_connectivity(g) == nx.node_connectivity(to_nx(g)), g
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "general"])
+def test_flow_connectivity_matches_networkx_past_brute_force_reach(kind):
+    # orders 9-22, where brute force no longer cross-checks the flow route
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(40):
+        n, p = rng.randint(9, 22), rng.choice([0.3, 0.5, 0.8])
+        g = random_connected_bipartite(rng, n, p) if kind == "bipartite" else random_graph(rng, n, p)
+        h = to_nx(g)
+        kappa, vcut = vertex_connectivity(g)
+        assert kappa == vcut.size == len(vcut.members) == nx.node_connectivity(h), g
+        assert not is_connected(g.induced(set(range(n)) - set(vcut.members))), g
+        lam, ecut = edge_connectivity(g)
+        assert lam == ecut.size == len(ecut.members) == nx.edge_connectivity(h), g
+        assert not is_connected(g.with_edges_changed(removed=ecut.members)), g

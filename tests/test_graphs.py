@@ -248,3 +248,8 @@ class TestReadGraphFile:
         path = tmp_path / "g.g6"
         path.write_bytes(encode_graph6(P4) + b"\n")
         assert read_graph_file(str(path)) == P4
+
+    def test_sniffs_edge_list_after_blank_lines(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("\n  \n" + format_edge_list(P4))
+        assert read_graph_file(str(path)) == P4

@@ -1,5 +1,6 @@
 """Guard for the benchmark tracer: every function it wraps must still exist
-under the name it uses, and a traced sweep must still count the kernels."""
+under the name it uses, and traced runs must still count the sweep kernels
+and the connectivity witness layers."""
 
 import importlib
 import importlib.util
@@ -34,19 +35,23 @@ def test_every_target_resolves():
         assert callable(obj), f"{module_name}.{attr}"
 
 
-def test_traced_sweep_counts_every_kernel(tmp_path):
-    from zex.search import _sweep_tasks
-
-    tracer = load_tracer()
+def run_traced(trace_dir, *zex_argv):
+    """Run one zex command under the tracer in a subprocess; return the merged trace."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.pop("ZEX_THREADS", None)
     done = subprocess.run(
-        [sys.executable, str(TRACER_PATH), str(tmp_path), "verify", "--n-min", "7", "--n-max", "7"],
+        [sys.executable, str(TRACER_PATH), str(trace_dir), *zex_argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    merged = tracer.merge(str(tmp_path))
+    return load_tracer().merge(str(trace_dir))
+
+
+def test_traced_sweep_counts_every_kernel(tmp_path):
+    from zex.search import _sweep_tasks
+
+    merged = run_traced(tmp_path, "verify", "--n-min", "7", "--n-max", "7")
     stats, results = merged["stats"], merged["results"]
 
     def calls(name):
@@ -65,3 +70,18 @@ def test_traced_sweep_counts_every_kernel(tmp_path):
     for name in ("search._dedup_isomorphic", "search.canonical_form",
                  "families.predicted_extremal", "graphs.m1", "graphs.m2", "cli.cmd_verify"):
         assert calls(name) > 0, name
+
+
+@pytest.mark.parametrize("mode,names", [
+    ("vertex", ("_vertex_flow", "_lex_min_vertex_cut", "vertex_connectivity_value")),
+    ("edge", ("_edge_flow", "_lex_min_edge_cut", "edge_connectivity_value")),
+])
+def test_traced_connectivity_counts_the_witness_layers(tmp_path, mode, names):
+    from zex import encode_graph6, predicted_extremal
+
+    # bipartite with kappa = 2: vertex 0 has non-neighbors, so flows run from source 0
+    path = tmp_path / "g.g6"
+    path.write_bytes(encode_graph6(predicted_extremal(8, 2, mode)) + b"\n")
+    stats = run_traced(tmp_path, "connectivity", str(path), "--mode", mode)["stats"]
+    for name in names:
+        assert stats["connectivity." + name][0] > 0, name
