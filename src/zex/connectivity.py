@@ -1,31 +1,28 @@
 """Exact vertex and edge connectivity via unit-capacity maximum flow.
 
-One kernel, ``_unit_flow``, computes every flow.  It works on out-neighbor
-bitmasks, like the rest of the package: node ``u`` has a unit arc to every
-bit of ``arcs[u]``, the flow is kept as bitmasks too, and each augmenting
-path is a shortest residual path found by breadth-first search.  No flow
-network is built per ``(s, t)`` pair.
+One kernel, ``_unit_flow``, computes every flow on out-neighbor bitmasks:
+node ``u`` has a unit arc to every bit of ``arcs[u]``, the flow is kept as
+bitmasks too, and each augmenting path is a shortest residual path.  Each
+mode runs its flows in one scan, which returns min(bound, connectivity),
+caps every flow at the best value so far and stops once a known lower
+bound ``floor`` is met.  ``_edge_scan`` takes the minimum over sinks
+``t != 0`` of the flow from vertex 0 on the neighbor bitmasks.
+``_vertex_scan`` takes the minimum over non-adjacent pairs ``(s, t)`` of
+the number of internally vertex-disjoint paths, as flows in the
+vertex-split digraph (in-node ``2v`` -> out-node ``2v + 1`` -> in-node
+``2w`` per neighbor ``w``) on the subgraph induced by an ``alive``
+bitmask: a dead vertex has no in -> out arc.  Its sources obey Even's rule
+(Even, SIAM J. Comput. 1975; Esfahanian and Hakimi, Networks 1984): of the
+first kappa + 1 alive vertices one lies outside a minimum cut ``S``, and
+the first such one has all smaller alive vertices in ``S``, so ``S``
+separates it from a later vertex.  The scan therefore stops at the first
+source whose rank is not below the best value found.
 
-Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
-vertex 0, run directly on ``Graph.neighbor_masks`` (an undirected edge is
-a pair of antiparallel unit arcs).
-
-Vertex connectivity of a non-complete graph is the minimum over
-non-adjacent pairs ``(s, t)`` of the number of internally vertex-disjoint
-``s``-``t`` paths.  These are flows in the vertex-split digraph, built once
-per graph: in-node ``2v`` has one arc to out-node ``2v + 1``, and out-node
-``2u + 1`` has an arc to in-node ``2w`` for every neighbor ``w`` of ``u``.
-Sources are bounded by Even's rule (Even, SIAM J. Comput. 1975; Esfahanian
-and Hakimi, Networks 1984): only ``s = 0, ..., kappa`` are needed, so the
-scan stops at the first ``s`` not below the best value found.  Of the
-kappa + 1 vertices ``0..kappa`` one lies outside a minimum cut ``S``; the
-first such vertex has all smaller vertices in ``S``, so ``S`` separates it
-from some larger vertex.
-
-Integer flows make both computations exact.
-
-All functions are pure; witnesses are deterministic: among all minimum
-cuts the lexicographically smallest member list is returned.
+Witnesses are the lexicographically smallest minimum cuts, found
+greedily: a vertex (edge) joins the cut F when removing it leaves
+connectivity exactly kappa - |F|.  Removing any set T leaves at least
+kappa - |T|, so each test is one scan with bound kappa - |F| + 1 and floor
+kappa - |F|.  Integer flows make every value exact; all functions are pure.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, is_connected, min_degree
+from .graphs import Graph, min_degree
 
 __all__ = [
     "MODES",
@@ -121,67 +118,74 @@ def _edge_flow(masks: Sequence[int], s: int, t: int, cutoff: int) -> int:
     return _unit_flow(masks, s, t, cutoff)
 
 
+def _vertex_scan(masks: Sequence[int], alive: int, bound: int, floor: int = 0) -> int:
+    """min(bound, kappa) of the subgraph induced on the bits of ``alive``; a complete
+    subgraph, which has no non-adjacent pair, reads as ``bound``.  Stops at ``floor``."""
+    split: list[int] = []
+    for v, m in enumerate(masks):
+        # in -> out arc of a live vertex; "0".join spreads the neighbors to the in-nodes
+        split.append((alive >> v & 1) << (2 * v + 1))
+        split.append(int("0".join(f"{m:b}"), 2))
+    best = bound
+    for i, s in enumerate(v for v in range(len(masks)) if alive >> v & 1):
+        if i >= best or best <= floor:
+            break
+        sinks = alive & ~masks[s] & -(2 << s)
+        while sinks and best > floor:
+            t = (sinks & -sinks).bit_length() - 1
+            sinks &= sinks - 1
+            best = _vertex_flow(split, s, t, best)
+    return best
+
+
+def _edge_scan(masks: Sequence[int], bound: int, floor: int = 0) -> int:
+    """min(bound, kappa') of the graph with neighbor bitmasks ``masks``; stops at ``floor``."""
+    best = bound
+    for t in range(1, len(masks)):
+        if best > floor:
+            best = _edge_flow(masks, 0, t, best)
+    return best
+
+
 def vertex_connectivity_value(g: Graph) -> int:
     """Vertex connectivity: 0 for disconnected graphs and K1, n-1 for complete graphs."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
-    if not is_connected(g):
-        return 0
-    split: list[int] = []
-    for v in range(g.n):
-        split.append(1 << (2 * v + 1))
-        split.append(sum(1 << 2 * w for w in g.neighbors(v)))
-    best = min_degree(g)
-    for s in range(g.n):
-        if s >= best:
-            break
-        for t in range(s + 1, g.n):
-            if not g.has_edge(s, t):
-                best = min(best, _vertex_flow(split, s, t, best))
-    return best
+    return _vertex_scan(g.neighbor_masks, (1 << g.n) - 1, min_degree(g))
 
 
 def edge_connectivity_value(g: Graph) -> int:
     """Edge connectivity: 0 when disconnected or n = 1."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
-    if not is_connected(g):
-        return 0
-    best = min_degree(g)
-    for t in range(1, g.n):
-        best = min(best, _edge_flow(g.neighbor_masks, 0, t, best))
-    return best
+    return _edge_scan(g.neighbor_masks, min_degree(g))
 
 
 def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
-    """Lexicographically smallest vertex set of size kappa whose removal disconnects g.
-
-    Greedy: a prefix F extends to a minimum cut iff the graph minus F has
-    connectivity exactly kappa - |F| (removing part of a minimum cut can
-    never drop connectivity below that, and a matching cut of the
-    remainder completes F).  At |F| = kappa that connectivity is 0, which
-    means disconnected: g is not complete, so at least two vertices remain.
-    """
+    """Lexicographically smallest vertex set of size kappa whose removal disconnects g
+    (none for a complete graph, whose scans all read as their cap kappa - |F| + 1)."""
     chosen: list[int] = []
+    alive = (1 << g.n) - 1
     for v in range(g.n):
-        if len(chosen) == kappa:
-            break
-        trial = chosen + [v]
-        sub = g.induced(u for u in range(g.n) if u not in trial)
-        if vertex_connectivity_value(sub) == kappa - len(trial):
+        rest = kappa - len(chosen) - 1
+        if rest >= 0 and _vertex_scan(g.neighbor_masks, alive ^ 1 << v, rest + 1, rest) == rest:
             chosen.append(v)
+            alive ^= 1 << v
     return tuple(chosen)
 
 
 def _lex_min_edge_cut(g: Graph, kappa_p: int) -> tuple[tuple[int, int], ...]:
+    """Lexicographically smallest edge set of size kappa_p whose removal disconnects g."""
     chosen: list[tuple[int, int]] = []
-    for e in g.edges():
-        if len(chosen) == kappa_p:
-            break
-        trial = chosen + [e]
-        sub = g.with_edges_changed(removed=trial)
-        if edge_connectivity_value(sub) == kappa_p - len(trial):
-            chosen.append(e)
+    masks = list(g.neighbor_masks)
+    for u, v in g.edges():
+        rest = kappa_p - len(chosen) - 1
+        trial = masks[:]
+        trial[u] ^= 1 << v
+        trial[v] ^= 1 << u
+        if rest >= 0 and _edge_scan(trial, rest + 1, rest) == rest:
+            chosen.append((u, v))
+            masks = trial
     return tuple(chosen)
 
 
@@ -192,9 +196,8 @@ def vertex_connectivity(g: Graph) -> tuple[int, CutWitness]:
     the ``complete`` flag, empty members and size ``n - 1``.
     """
     value = vertex_connectivity_value(g)
-    if value == g.n - 1:
-        return value, CutWitness("vertex-cut", (), value, complete=True)
-    return value, CutWitness("vertex-cut", _lex_min_vertex_cut(g, value), value)
+    cut = _lex_min_vertex_cut(g, value)
+    return value, CutWitness("vertex-cut", cut, value, complete=value == g.n - 1)
 
 
 def edge_connectivity(g: Graph) -> tuple[int, CutWitness]:
@@ -207,4 +210,4 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the graph has more than ``k`` vertices and connectivity at least ``k``."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return g.n > k and vertex_connectivity_value(g) >= k
+    return g.n > k and _vertex_scan(g.neighbor_masks, (1 << g.n) - 1, k) >= k

@@ -110,10 +110,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        m = self._masks[u]
-        return tuple(v for v in range(self.n) if m >> v & 1)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._masks[u] >> v & 1)
 

@@ -1,7 +1,7 @@
 """Connectivity: flow-based values, witnesses, and the degree-chain facts."""
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,13 @@ P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
 def complete_graph(n):
     return Graph(n, list(combinations(range(n), 2)))
+
+
+def labeled_graphs(orders):
+    for n in orders:
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
 class TestVertexConnectivity:
@@ -97,6 +104,20 @@ class TestIsKConnected:
         with pytest.raises(ValueError):
             is_k_connected(Graph(2), -1)
 
+    def test_flows_are_capped_at_k(self, monkeypatch):
+        from zex import connectivity
+
+        flow = connectivity._vertex_flow
+        cutoffs = []
+
+        def recording(split, s, t, cutoff):
+            cutoffs.append(cutoff)
+            return flow(split, s, t, cutoff)
+
+        monkeypatch.setattr(connectivity, "_vertex_flow", recording)
+        assert is_k_connected(complete_bipartite(10, 10), 2)
+        assert cutoffs and max(cutoffs) <= 2
+
 
 class TestDegreeChainFacts:
     @settings(max_examples=300, derandomize=True)
@@ -108,13 +129,10 @@ class TestDegreeChainFacts:
 
     def test_completeness_equivalence_exhaustive(self):
         # kappa = n-1, kappa' = n-1 and completeness coincide (all graphs n <= 5)
-        for n in range(2, 6):
-            pairs = list(combinations(range(n), 2))
-            for bits in range(1 << len(pairs)):
-                g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-                complete = g.num_edges == n * (n - 1) // 2
-                assert (vertex_connectivity_value(g) == n - 1) == complete
-                assert (edge_connectivity_value(g) == n - 1) == complete
+        for g in labeled_graphs(range(2, 6)):
+            complete = g.num_edges == g.n * (g.n - 1) // 2
+            assert (vertex_connectivity_value(g) == g.n - 1) == complete
+            assert (edge_connectivity_value(g) == g.n - 1) == complete
 
 
 class TestWitnesses:
@@ -139,8 +157,8 @@ class TestWitnesses:
 
     def test_vertex_witness_is_lex_smallest(self):
         rng = random.Random(DEFAULT_SEED + 1)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(3, 7))
+        randoms = (random_graph(rng, rng.randint(3, 7)) for _ in range(60))
+        for g in chain(labeled_graphs(range(2, 6)), randoms):
             value, witness = vertex_connectivity(g)
             if not witness.members:
                 continue
@@ -153,8 +171,8 @@ class TestWitnesses:
 
     def test_edge_witness_is_lex_smallest(self):
         rng = random.Random(DEFAULT_SEED + 2)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(3, 7))
+        randoms = (random_graph(rng, rng.randint(3, 7)) for _ in range(60))
+        for g in chain(labeled_graphs(range(2, 6)), randoms):
             value, witness = edge_connectivity(g)
             if not witness.members:
                 continue

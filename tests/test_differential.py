@@ -1,7 +1,9 @@
 """networkx as a third route for the bitmask kernels that the sweep,
 ``enumerate_class`` and the brute-force connectivity now share."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import DEFAULT_SEED, random_connected_bipartite, random_graph
 from zex import (
     SearchSpec,
     brute_force_vertex_connectivity,
+    decode_graph6,
     edge_connectivity,
     enumerate_class,
     is_connected,
@@ -17,6 +20,8 @@ from zex import (
 )
 
 nx = pytest.importorskip("networkx")
+
+WITNESS_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "witness.json"
 
 
 def to_nx(g):
@@ -68,3 +73,18 @@ def test_flow_connectivity_matches_networkx_past_brute_force_reach(kind):
         lam, ecut = edge_connectivity(g)
         assert lam == ecut.size == len(ecut.members) == nx.edge_connectivity(h), g
         assert not is_connected(g.with_edges_changed(removed=ecut.members)), g
+
+
+def test_witnesses_match_the_committed_reference():
+    # the benchmark's witness reference was cross-checked with networkx when it was made
+    if not WITNESS_REFERENCE.exists():
+        pytest.skip("perfbench/reference/witness.json is not in this checkout")
+    with WITNESS_REFERENCE.open() as fh:
+        entries = [e for e in json.load(fh)["graphs"].values() if e["n"] <= 16]
+    assert len(entries) == 224
+    for e in entries:
+        g = decode_graph6(e["g6"].encode())
+        kappa, vcut = vertex_connectivity(g)
+        lam, ecut = edge_connectivity(g)
+        assert (kappa, list(vcut.members)) == (e["kappa"], e["vertex_cut"]), e["g6"]
+        assert (lam, [list(x) for x in ecut.members]) == (e["lambda"], e["edge_cut"]), e["g6"]

@@ -85,3 +85,5 @@ def test_traced_connectivity_counts_the_witness_layers(tmp_path, mode, names):
     stats = run_traced(tmp_path, "connectivity", str(path), "--mode", mode)["stats"]
     for name in names:
         assert stats["connectivity." + name][0] > 0, name
+    # the decoded input is the only Graph: the scans work on its neighbor bitmasks
+    assert stats["graphs.Graph.__init__"][0] == 1
