@@ -2,27 +2,32 @@
 
 One kernel, ``_unit_flow``, computes every flow on out-neighbor bitmasks:
 node ``u`` has a unit arc to every bit of ``arcs[u]``, the flow is kept as
-bitmasks too, and each augmenting path is a shortest residual path.  Each
-mode runs its flows in one scan, which returns min(bound, connectivity),
-caps every flow at the best value so far and stops once a known lower
-bound ``floor`` is met.  ``_edge_scan`` takes the minimum over sinks
-``t != 0`` of the flow from vertex 0 on the neighbor bitmasks.
-``_vertex_scan`` takes the minimum over non-adjacent pairs ``(s, t)`` of
-the number of internally vertex-disjoint paths, as flows in the
-vertex-split digraph (in-node ``2v`` -> out-node ``2v + 1`` -> in-node
-``2w`` per neighbor ``w``) on the subgraph induced by an ``alive``
-bitmask: a dead vertex has no in -> out arc.  Its sources obey Even's rule
-(Even, SIAM J. Comput. 1975; Esfahanian and Hakimi, Networks 1984): of the
-first kappa + 1 alive vertices one lies outside a minimum cut ``S``, and
-the first such one has all smaller alive vertices in ``S``, so ``S``
-separates it from a later vertex.  The scan therefore stops at the first
-source whose rank is not below the best value found.
+bitmasks too, and each augmenting path is a shortest residual path.
+Every flow is capped at the best value known so far.  Edge connectivity
+is the minimum over sinks ``t != 0`` of the flow from vertex 0 on the
+neighbor bitmasks.  Vertex connectivity runs its flows in one scan,
+``_vertex_scan``, which returns min(bound, kappa) and stops once a known
+lower bound ``floor`` is met.  It takes the minimum over non-adjacent
+pairs ``(s, t)`` of the number of internally vertex-disjoint paths, as
+flows in the vertex-split digraph (in-node ``2v`` -> out-node ``2v + 1``
+-> in-node ``2w`` per neighbor ``w``) on the subgraph induced by an
+``alive`` bitmask: a dead vertex has no in -> out arc.  Its sources obey
+Even's rule (Even, SIAM J. Comput. 1975; Esfahanian and Hakimi, Networks
+1984): of the first kappa + 1 alive vertices one lies outside a minimum
+cut ``S``, and the first such one has all smaller alive vertices in
+``S``, so ``S`` separates it from a later vertex.  The scan therefore
+stops at the first source whose rank is not below the best value found.
 
 Witnesses are the lexicographically smallest minimum cuts, found
-greedily: a vertex (edge) joins the cut F when removing it leaves
-connectivity exactly kappa - |F|.  Removing any set T leaves at least
-kappa - |T|, so each test is one scan with bound kappa - |F| + 1 and floor
-kappa - |F|.  Integer flows make every value exact; all functions are pure.
+greedily: a vertex (edge) joins the kept set F when removing it leaves
+connectivity exactly kappa - |F| - 1.  Removing any set T leaves at least
+kappa - |T|, so each vertex test is one scan with bound kappa - |F| and
+floor kappa - |F| - 1.  Each edge test is a single flow: while F is
+extendable, lambda(G - F) = kappa' - |F|, so a cut of size kappa' - |F| - 1
+in G - F - uv must separate u from v (one that left them together would
+already cut G - F), and the u-v flow in G - F - uv, capped at
+kappa' - |F|, decides the candidate (Menger; Ford and Fulkerson 1956).
+Integer flows make every value exact; all functions are pure.
 """
 
 from __future__ import annotations
@@ -138,15 +143,6 @@ def _vertex_scan(masks: Sequence[int], alive: int, bound: int, floor: int = 0) -
     return best
 
 
-def _edge_scan(masks: Sequence[int], bound: int, floor: int = 0) -> int:
-    """min(bound, kappa') of the graph with neighbor bitmasks ``masks``; stops at ``floor``."""
-    best = bound
-    for t in range(1, len(masks)):
-        if best > floor:
-            best = _edge_flow(masks, 0, t, best)
-    return best
-
-
 def vertex_connectivity_value(g: Graph) -> int:
     """Vertex connectivity: 0 for disconnected graphs and K1, n-1 for complete graphs."""
     if g.n < 1:
@@ -158,7 +154,11 @@ def edge_connectivity_value(g: Graph) -> int:
     """Edge connectivity: 0 when disconnected or n = 1."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
-    return _edge_scan(g.neighbor_masks, min_degree(g))
+    best = min_degree(g)
+    for t in range(1, g.n):
+        if best:
+            best = _edge_flow(g.neighbor_masks, 0, t, best)
+    return best
 
 
 def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
@@ -180,12 +180,15 @@ def _lex_min_edge_cut(g: Graph, kappa_p: int) -> tuple[tuple[int, int], ...]:
     masks = list(g.neighbor_masks)
     for u, v in g.edges():
         rest = kappa_p - len(chosen) - 1
-        trial = masks[:]
-        trial[u] ^= 1 << v
-        trial[v] ^= 1 << u
-        if rest >= 0 and _edge_scan(trial, rest + 1, rest) == rest:
+        if rest < 0:
+            break
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        if _edge_flow(masks, u, v, rest + 1) == rest:
             chosen.append((u, v))
-            masks = trial
+        else:
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
     return tuple(chosen)
 
 

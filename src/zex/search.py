@@ -54,6 +54,7 @@ from .graphs import (
     encode_graph6,
     index_value,
     is_connected,
+    min_degree,
 )
 
 __all__ = [
@@ -232,23 +233,12 @@ def brute_force_vertex_connectivity(g: Graph) -> int:
 
 
 def brute_force_edge_connectivity(g: Graph) -> int:
-    """Edge connectivity by enumerating edge subsets in increasing size."""
+    """Edge connectivity as the minimum edge boundary over vertex subsets."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
-    if g.n == 1 or not is_connected(g):
+    if not is_connected(g):
         return 0
-    edges = g.edges()
-    full = (1 << g.n) - 1
-    base = list(g.neighbor_masks)
-    for j in range(1, len(edges) + 1):
-        for combo in combinations(edges, j):
-            masks = base[:]
-            for u, v in combo:
-                masks[u] &= ~(1 << v)
-                masks[v] &= ~(1 << u)
-            if _reach(masks, 1, full) != full:
-                return j
-    raise AssertionError("unreachable: removing all edges disconnects any n >= 2 graph")
+    return _kappa_prime_masks(list(g.neighbor_masks), g.n, min_degree(g))
 
 
 # -- enumeration and extremal search ------------------------------------------

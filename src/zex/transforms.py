@@ -67,13 +67,11 @@ def _check_shift(g: Graph, spec: ShiftSpec) -> None:
     if not spec.moved:
         raise ValueError("moved set must be nonempty")
     not_nbr_v = [w for w in sorted(spec.moved) if not g.has_edge(spec.v, w)]
-    if not_nbr_v:
+    if not_nbr_v:  # u is among them when moved, since u is not adjacent to v
         raise ValueError(f"moved vertices {not_nbr_v} are not neighbors of v={spec.v}")
     common = [w for w in sorted(spec.moved) if g.has_edge(spec.u, w)]
     if common:
         raise ValueError(f"moved vertices {common} are already neighbors of u={spec.u}")
-    if spec.u in spec.moved:
-        raise ValueError("u cannot be in the moved set")
 
 
 def shift_neighbors(g: Graph, spec: ShiftSpec) -> Graph:

@@ -182,6 +182,26 @@ class TestWitnesses:
                     cuts.append(combo)
             assert witness.members == min(cuts)
 
+    def test_edge_greedy_runs_one_flow_per_candidate(self, monkeypatch):
+        from zex import connectivity, predicted_extremal
+
+        perm = list(range(12))
+        random.Random(DEFAULT_SEED).shuffle(perm)
+        g = predicted_extremal(12, 3, "edge").relabeled(perm)
+        value = edge_connectivity_value(g)
+        flow = connectivity._edge_flow
+        pairs = []
+
+        def recording(masks, s, t, cutoff):
+            pairs.append((s, t))
+            return flow(masks, s, t, cutoff)
+
+        monkeypatch.setattr(connectivity, "_edge_flow", recording)
+        cut = connectivity._lex_min_edge_cut(g, value)
+        assert value == len(cut) == 3
+        assert pairs and all(g.has_edge(s, t) for s, t in pairs)
+        assert len(pairs) <= g.num_edges
+
 
 class TestEvenSourceBound:
     def test_sources_stop_at_kappa(self, monkeypatch):
@@ -214,7 +234,7 @@ class TestFlowMatchesBruteForce:
 
     @pytest.mark.slow
     def test_exhaustive_n7(self):
-        # all 2^21 labeled graphs on 7 vertices; takes tens of minutes
+        # all 2^21 labeled graphs on 7 vertices; takes minutes
         pairs = list(combinations(range(7), 2))
         for bits in range(1 << len(pairs)):
             g = Graph(7, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])

@@ -10,6 +10,7 @@ import pytest
 from conftest import DEFAULT_SEED, random_connected_bipartite, random_graph
 from zex import (
     SearchSpec,
+    brute_force_edge_connectivity,
     brute_force_vertex_connectivity,
     decode_graph6,
     edge_connectivity,
@@ -52,11 +53,19 @@ def test_order5_class_members_have_the_class_connectivity(mode):
             assert measure(to_nx(g)) == c, (g, c)
 
 
-def test_brute_force_vertex_connectivity_matches_networkx():
+@pytest.mark.parametrize(
+    "brute_force, measure",
+    [
+        (brute_force_vertex_connectivity, nx.node_connectivity),
+        (brute_force_edge_connectivity, nx.edge_connectivity),
+    ],
+    ids=["vertex", "edge"],
+)
+def test_brute_force_connectivity_matches_networkx(brute_force, measure):
     rng = random.Random(DEFAULT_SEED)
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.6, 0.9]))
-        assert brute_force_vertex_connectivity(g) == nx.node_connectivity(to_nx(g)), g
+        assert brute_force(g) == measure(to_nx(g)), g
 
 
 @pytest.mark.parametrize("kind", ["bipartite", "general"])

@@ -93,6 +93,11 @@ class TestShiftNeighbors:
         with pytest.raises(ValueError, match="not neighbors of v"):
             shift_neighbors(P4, ShiftSpec(u=0, v=2, moved=frozenset({0})))
 
+    def test_rejects_u_in_moved(self):
+        # moved must lie in N(v), and u is not adjacent to v
+        with pytest.raises(ValueError, match="not neighbors of v"):
+            shift_neighbors(P4, ShiftSpec(u=0, v=2, moved=frozenset({0, 3})))
+
     def test_rejects_moved_already_at_u(self):
         g = Graph(4, [(0, 1), (2, 1), (2, 3)])
         with pytest.raises(ValueError, match="already neighbors of u"):
