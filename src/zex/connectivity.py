@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, min_degree
+from .graphs import Graph, _bits, min_degree
 
 __all__ = [
     "MODES",
@@ -132,13 +132,12 @@ def _vertex_scan(masks: Sequence[int], alive: int, bound: int, floor: int = 0) -
         split.append((alive >> v & 1) << (2 * v + 1))
         split.append(int("0".join(f"{m:b}"), 2))
     best = bound
-    for i, s in enumerate(v for v in range(len(masks)) if alive >> v & 1):
+    for i, s in enumerate(_bits(alive)):
         if i >= best or best <= floor:
             break
-        sinks = alive & ~masks[s] & -(2 << s)
-        while sinks and best > floor:
-            t = (sinks & -sinks).bit_length() - 1
-            sinks &= sinks - 1
+        for t in _bits(alive & ~masks[s] & -(2 << s)):
+            if best <= floor:
+                break
             best = _vertex_flow(split, s, t, best)
     return best
 

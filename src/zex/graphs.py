@@ -2,7 +2,8 @@
 
 Vertices are dense integers ``0..n-1``.  Graphs are immutable after
 construction, so values can be shared freely (hashable, usable as dict
-keys, safe across worker processes).
+keys, safe across worker processes).  A ``Graph`` stores only neighbor
+bitmasks and degrees; its edges are read off the bitmasks in O(n + m).
 
 The two degree-based indices computed here are
 
@@ -21,7 +22,7 @@ Supported interchange formats:
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -61,14 +62,32 @@ class GraphFormatError(ValueError):
         self.offset = offset
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask_edges(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Edges ``(u, v)`` with ``u < v`` of the neighbor bitmasks, in lexicographic order."""
+    for u, m in enumerate(masks):
+        # the shift costs O(width of m); a mask -(2 << u) would cost O(u) even when m is 0
+        for v in _bits(m >> u + 1):
+            yield u, u + 1 + v
+
+
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
     The adjacency relation is symmetric and irreflexive; loops and
-    duplicate edges are rejected at construction time.
+    duplicate edges are rejected at construction time.  Only ``n``, the
+    neighbor bitmasks and the degrees are stored: ``edges()``, ``num_edges``,
+    the hash and the repr are derived, each in O(n + m) integer operations.
     """
 
-    __slots__ = ("n", "_masks", "_edges", "_degrees", "_hash")
+    __slots__ = ("n", "_masks", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -85,11 +104,7 @@ class Graph:
             masks[v] |= 1 << u
         self.n = n
         self._masks = tuple(masks)
-        self._edges = tuple(
-            (u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1
-        )
         self._degrees = tuple(m.bit_count() for m in masks)
-        self._hash = hash((n, self._masks))
 
     @property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -98,11 +113,11 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return sum(self._degrees) // 2
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``, in lexicographic order."""
-        return self._edges
+        return tuple(_mask_edges(self._masks))
 
     def degree(self, u: int) -> int:
         return self._degrees[u]
@@ -120,39 +135,41 @@ class Graph:
     ) -> "Graph":
         """New graph with ``removed`` edges deleted and ``added`` edges inserted.
 
-        Raises ``ValueError`` if a removed edge is absent or an added edge
-        already present (after removals).
+        Raises ``ValueError`` if a removed edge is absent, or an added edge
+        is a loop, out of range or already present (after removals).
         """
-        present = {(min(u, v), max(u, v)) for u, v in self._edges}
+        n = self.n
+        masks = list(self._masks)
         for u, v in removed:
-            e = (min(u, v), max(u, v))
-            if e not in present:
-                raise ValueError(f"cannot remove absent edge {e}")
-            present.discard(e)
+            if not (0 <= u < n and 0 <= v < n and masks[u] >> v & 1):
+                raise ValueError(f"cannot remove absent edge {(min(u, v), max(u, v))}")
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
         for u, v in added:
             e = (min(u, v), max(u, v))
-            if e in present:
-                raise ValueError(f"cannot add existing edge {e}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            present.add(e)
-        return Graph(self.n, sorted(present))
+            if not (0 <= e[0] and e[1] < n):
+                raise ValueError(f"edge {e} out of range for n={n}")
+            if masks[u] >> v & 1:
+                raise ValueError(f"cannot add existing edge {e}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return Graph(n, _mask_edges(masks))
 
     def relabeled(self, perm: Iterable[int]) -> "Graph":
         """New graph with vertex ``u`` renamed to ``perm[u]``."""
         p = tuple(perm)
         if sorted(p) != list(range(self.n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        return Graph(self.n, [(p[u], p[v]) for u, v in self._edges])
+        return Graph(self.n, ((p[u], p[v]) for u, v in _mask_edges(self._masks)))
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on ``keep``, relabeled to ``0..len(keep)-1`` in sorted order."""
         kept = sorted(set(keep))
         index = {v: i for i, v in enumerate(kept)}
-        edges = [
-            (index[u], index[v]) for u, v in self._edges if u in index and v in index
-        ]
-        return Graph(len(kept), edges)
+        edges = _mask_edges(self._masks)
+        return Graph(len(kept), ((index[u], index[v]) for u, v in edges if u in index and v in index))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -160,10 +177,10 @@ class Graph:
         return self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={list(self._edges)!r})"
+        return f"Graph(n={self.n}, edges={list(self.edges())!r})"
 
 
 class Bipartition(NamedTuple):
@@ -233,16 +250,15 @@ def is_connected(g: Graph) -> bool:
 def connected_components(g: Graph, excluded: frozenset[int] = frozenset()) -> list[list[int]]:
     """Components of ``g`` with ``excluded`` vertices removed, as sorted vertex lists."""
     masks = g.neighbor_masks
-    alive = 0
-    for v in range(g.n):
-        if v not in excluded:
-            alive |= 1 << v
+    alive = (1 << g.n) - 1
+    for v in excluded:
+        if 0 <= v < g.n:
+            alive &= ~(1 << v)
     comps = []
     remaining = alive
     while remaining:
-        start = remaining & -remaining
-        seen = _reach(masks, start, alive)
-        comps.append([v for v in range(g.n) if seen >> v & 1])
+        seen = _reach(masks, remaining & -remaining, alive)
+        comps.append(list(_bits(seen)))
         remaining &= ~seen
     return comps
 
@@ -264,10 +280,7 @@ def bipartition_of(g: Graph) -> Optional[Bipartition]:
         while queue:
             u = queue.pop()
             cu = color[u]
-            m = masks[u]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
+            for v in _bits(masks[u]):
                 if color[v] == -1:
                     color[v] = 1 - cu
                     queue.append(v)
@@ -349,22 +362,20 @@ def decode_graph6(data: bytes) -> Graph:
             base + 1 + need,
         )
     edges = []
-    bit_index = 0
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    # the upper-triangle pairs in body order, drawn one per bit; None marks padding
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
     for i, ch in enumerate(body):
         if not 63 <= ch <= 126:
             raise GraphFormatError(f"invalid graph6 character {ch}", base + 1 + i)
         group = ch - 63
         for b in range(5, -1, -1):
-            bit = group >> b & 1
-            if bit_index < len(pairs):
-                if bit:
-                    edges.append(pairs[bit_index])
-            elif bit:
-                raise GraphFormatError(
-                    "nonzero padding bits in graph6 body", base + 1 + i
-                )
-            bit_index += 1
+            pair = next(pairs, None)
+            if group >> b & 1:
+                if pair is None:
+                    raise GraphFormatError(
+                        "nonzero padding bits in graph6 body", base + 1 + i
+                    )
+                edges.append(pair)
     return Graph(n, edges)
 
 

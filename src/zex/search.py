@@ -48,6 +48,7 @@ from .graphs import (
     INDICES,
     Bipartition,
     Graph,
+    _mask_edges,
     _pack_graph6,
     _reach,
     connected_components,
@@ -210,15 +211,7 @@ def _classify(n: int, p: int, rows: tuple[int, ...]) -> Optional[tuple]:
 
 
 def _masks_to_graph(masks: list[int], n: int) -> Graph:
-    return Graph(
-        n,
-        [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if masks[u] >> v & 1
-        ],
-    )
+    return Graph(n, _mask_edges(masks))
 
 
 # -- brute-force connectivity (independent oracle route) ----------------------

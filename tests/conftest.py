@@ -1,4 +1,5 @@
-"""Shared graph generators for the test suite.
+"""Shared graph generators for the test suite, and ``run_python`` for
+tests that need a fresh interpreter with a timeout.
 
 Randomized suites use ``random.Random`` seeded with DEFAULT_SEED for CI
 determinism; hypothesis-based properties derandomize themselves.
@@ -6,14 +7,33 @@ determinism; hypothesis-based properties derandomize themselves.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from zex import Graph
 
 DEFAULT_SEED = 0
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(source: str, *argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``source`` in a fresh interpreter that imports zex from this checkout.
+
+    A run that outlasts ``timeout`` seconds raises ``subprocess.TimeoutExpired``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", source, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

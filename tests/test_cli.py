@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import run_python
 from zex import (
     FamilyParams,
     Graph,
@@ -38,6 +39,16 @@ class TestIndexCommand:
         path.write_text(format_edge_list(P4))
         assert main(["index", str(path)]) == 0
         assert "M1=10 M2=8" in capsys.readouterr().out
+
+    def test_large_sparse_edge_list(self, tmp_path):
+        # building the graph and its edges costs O(n + m), not one step per vertex pair
+        path = tmp_path / "sparse.txt"
+        path.write_text("200000 1\n0 1\n")
+        done = run_python("import sys; from zex.cli import main; sys.exit(main(sys.argv[1:]))",
+                          "index", str(path))
+        assert done.returncode == 0, done.stderr
+        assert "M1=2 M2=1" in done.stdout
+        assert "n=200000 m=1" in done.stdout
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"

@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEFAULT_SEED, graphs, random_graph
 from zex import (
@@ -14,6 +15,7 @@ from zex import (
     bipartition_of,
     build_family,
     complete_bipartite,
+    connected_components,
     decode_graph6,
     encode_graph6,
     format_edge_list,
@@ -50,6 +52,102 @@ class TestConstruction:
         g = Graph(2, [(0, 1)])
         h = g.with_edges_changed(removed=[(0, 1)])
         assert g.num_edges == 1 and h.num_edges == 0
+
+
+class TestRewriteContract:
+    """The rewrites raise one fixed message per invalid input and agree with
+    their definitions on edge lists."""
+
+    @pytest.mark.parametrize("removed,shown", [
+        ([(0, 2)], (0, 2)),
+        ([(2, 0)], (0, 2)),
+        ([(1, 1)], (1, 1)),
+        ([(3, 9)], (3, 9)),
+        ([(0, 1), (1, 0)], (0, 1)),
+        # negative labels never wrap around to vertex 3, whose edge (2, 3) exists
+        ([(-1, 2)], (-1, 2)),
+        ([(2, -1)], (-1, 2)),
+    ])
+    def test_remove_absent_edge(self, removed, shown):
+        with pytest.raises(ValueError) as exc:
+            P4.with_edges_changed(removed=removed)
+        assert str(exc.value) == f"cannot remove absent edge {shown}"
+
+    @pytest.mark.parametrize("added,message", [
+        ([(1, 0)], "cannot add existing edge (0, 1)"),
+        ([(0, 2), (2, 0)], "cannot add existing edge (0, 2)"),
+        ([(2, 2)], "loop at vertex 2"),
+        ([(0, 4)], "edge (0, 4) out of range for n=4"),
+        ([(4, 0)], "edge (0, 4) out of range for n=4"),
+        ([(-1, 2)], "edge (-1, 2) out of range for n=4"),
+        ([(2, -1)], "edge (-1, 2) out of range for n=4"),
+    ])
+    def test_add_invalid_edge(self, added, message):
+        with pytest.raises(ValueError) as exc:
+            P4.with_edges_changed(added=added)
+        assert str(exc.value) == message
+
+    def test_removal_comes_before_addition(self):
+        assert P4.with_edges_changed(removed=[(0, 1)], added=[(1, 0)]) == P4
+
+    @pytest.mark.parametrize("perm", [
+        [0, 1, 2], [0, 1, 2, 3, 4], [0, 0, 1, 2], [1, 2, 3, 4], [-1, 0, 1, 2],
+    ])
+    def test_relabel_rejects_non_permutation(self, perm):
+        with pytest.raises(ValueError) as exc:
+            P4.relabeled(perm)
+        assert str(exc.value) == "perm must be a permutation of 0..n-1"
+
+    @settings(max_examples=200, derandomize=True)
+    @given(graphs(max_n=9), st.data())
+    def test_edges_changed_matches_edge_sets(self, g, data):
+        present = set(g.edges())
+        absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present]
+        removed = data.draw(st.lists(st.sampled_from(sorted(present)), unique=True)) if present else []
+        added = data.draw(st.lists(st.sampled_from(absent), unique=True)) if absent else []
+        flip = data.draw(st.booleans())  # either endpoint order names the same edge
+        h = g.with_edges_changed(
+            removed=[(v, u) if flip else (u, v) for u, v in removed], added=added
+        )
+        assert h == Graph(g.n, sorted(present - set(removed) | set(added)))
+
+    @settings(max_examples=200, derandomize=True)
+    @given(graphs(max_n=9), st.data())
+    def test_relabeled_matches_edge_list(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        assert g.relabeled(perm) == Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+    @settings(max_examples=200, derandomize=True)
+    @given(graphs(max_n=9), st.data())
+    def test_induced_matches_edge_list(self, g, data):
+        keep = data.draw(st.sets(st.integers(0, g.n - 1)))
+        index = {v: i for i, v in enumerate(sorted(keep))}
+        edges = [(index[u], index[v]) for u, v in g.edges() if u in keep and v in keep]
+        assert g.induced(keep) == Graph(len(keep), edges)
+
+
+class TestConnectedComponents:
+    def test_cut_vertex(self):
+        assert connected_components(P4, frozenset({1})) == [[0], [2, 3]]
+
+    def test_edgeless(self):
+        assert connected_components(Graph(3)) == [[0], [1], [2]]
+
+    def test_empty_graph(self):
+        assert connected_components(Graph(0)) == []
+
+    def test_labels_outside_the_graph_are_ignored(self):
+        assert connected_components(P4, frozenset({-1, 2, 7})) == [[0, 1], [3]]
+
+    @settings(max_examples=200, derandomize=True)
+    @given(graphs(max_n=9), st.data())
+    def test_matches_networkx(self, g, data):
+        excluded = frozenset(data.draw(st.sets(st.integers(0, g.n - 1))))
+        G = nx.Graph()
+        G.add_nodes_from(v for v in range(g.n) if v not in excluded)
+        G.add_edges_from(e for e in g.edges() if not excluded & set(e))
+        expected = sorted(sorted(c) for c in nx.connected_components(G))
+        assert connected_components(g, excluded) == expected
 
 
 class TestIndices:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import DEFAULT_SEED, random_graph
+from conftest import DEFAULT_SEED, random_graph, run_python
 from zex import (
     FamilyParams,
     Graph,
@@ -363,6 +363,15 @@ class TestCutComponentProfile:
 
     def test_path_middle_vertex(self):
         assert cut_component_profile(P4, frozenset({1})) == [1, 2]
+
+    def test_large_star(self):
+        # one component per leaf: members are read off set bits, not a scan of all n labels
+        done = run_python(
+            "from zex import complete_bipartite, cut_component_profile;"
+            "print(cut_component_profile(complete_bipartite(1, 50000), frozenset({0})) == [1] * 50000)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
 
     def test_rejects_non_cut(self):
         with pytest.raises(ValueError, match="does not disconnect"):
