@@ -126,6 +126,8 @@ class Graph:
         return self._degrees
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge {(min(u, v), max(u, v))} out of range for n={self.n}")
         return bool(self._masks[u] >> v & 1)
 
     def with_edges_changed(

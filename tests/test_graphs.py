@@ -87,6 +87,17 @@ class TestRewriteContract:
             P4.with_edges_changed(added=added)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("u,v,shown", [
+        (-1, 2, (-1, 2)),  # would read masks[3], where edge (2, 3) exists
+        (2, -1, (-1, 2)),
+        (9, 0, (0, 9)),
+        (0, 4, (0, 4)),
+    ])
+    def test_has_edge_rejects_out_of_range(self, u, v, shown):
+        with pytest.raises(ValueError) as exc:
+            P4.has_edge(u, v)
+        assert str(exc.value) == f"edge {shown} out of range for n=4"
+
     def test_removal_comes_before_addition(self):
         assert P4.with_edges_changed(removed=[(0, 1)], added=[(1, 0)]) == P4
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb, factorial
 
 import pytest
 
@@ -203,6 +204,81 @@ class TestWeightedSweep:
         for d in serial + pooled:
             d.pop("elapsed")
         assert serial == pooled
+
+
+def _flat_orbit_size(rows):
+    size = factorial(len(rows))
+    for _, run in itertools.groupby(rows):
+        size //= factorial(len(list(run)))
+    return size
+
+
+def _flat_carried(n, p, prefix):
+    """Masks of the rows in ``prefix`` and of their bits in the columns, built bit by bit."""
+    masks = [row << p for row in prefix] + [0] * (n - len(prefix))
+    for i, row in enumerate(prefix):
+        for j in range(n - p):
+            if row >> j & 1:
+                masks[p + j] |= 1 << i
+    return masks
+
+
+def _flat_chunk(n, p, lo, hi):
+    """Reference for one sweep task: the flat row-sorted walk, one ``_classify`` per tuple."""
+    from zex.connectivity import MODES
+    from zex.search import _classify
+
+    cells = {}
+    for first in range(lo, hi):
+        for rest in itertools.combinations_with_replacement(range(first, 1 << (n - p)), p - 1):
+            rows = (first, *rest)
+            found = _classify(n, p, _flat_carried(n, p, rows[:-1]), rows[-1])
+            if found is None:
+                continue
+            masks, degs, values = found
+            v1 = sum(d * d for d in degs)
+            v2 = sum(degs[u] * degs[v] for u in range(p) for v in range(p, n) if masks[u] >> v & 1)
+            for key in zip(MODES, values):
+                cell = cells.setdefault(key, [0, {"M1": [-1, []], "M2": [-1, []]}])
+                cell[0] += _flat_orbit_size(rows)
+                for index, value in (("M1", v1), ("M2", v2)):
+                    best = cell[1][index]
+                    if value > best[0]:
+                        best[:] = [value, []]
+                    if value == best[0]:
+                        best[1].append(tuple(masks))
+    return cells
+
+
+class TestSweepWalk:
+    """The depth-first sweep against the flat row-sorted walk it replaced."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_every_task_matches_the_flat_walk(self, n):
+        import zex.search as search_module
+
+        tasks = search_module._sweep_tasks(n)
+        assert any(p == 1 for _, p, _, _ in tasks)  # no row below the first: a case of its own
+        for task in tasks:
+            got = {
+                key: [cell.count, {index: [m.best, m.ties] for index, m in cell.by_index.items()}]
+                for key, cell in search_module._sweep_chunk(task).items()
+            }
+            assert got == _flat_chunk(*task), task
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_tasks_cover_every_first_row_once(self, n):
+        import zex.search as search_module
+
+        tasks = search_module._sweep_tasks(n)
+        for p in range(1, n // 2 + 1):
+            top = 1 << (n - p)
+            ranges = [(lo, hi) for tn, tp, lo, hi in tasks if (tn, tp) == (n, p)]
+            firsts = [first for lo, hi in ranges for first in range(lo, hi)]
+            assert firsts == list(range(1, top)), p
+            sizes = [sum(comb(top - first + p - 2, p - 1) for first in range(lo, hi)) for lo, hi in ranges]
+            assert sum(sizes) == comb(top - 1 + p - 1, p), p
+        assert {tp for _, tp, _, _ in tasks} == set(range(1, n // 2 + 1))
 
 
 class TestPoolSize:

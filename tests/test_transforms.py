@@ -48,6 +48,12 @@ class TestAddEdge:
         with pytest.raises(ValueError, match="loop"):
             add_edge(P4, 2, 2)
 
+    @pytest.mark.parametrize("u,v,shown", [(-1, 2, (-1, 2)), (2, -1, (-1, 2)), (9, 0, (0, 9))])
+    def test_rejects_out_of_range(self, u, v, shown):
+        with pytest.raises(ValueError) as exc:
+            add_edge(P4, u, v)
+        assert str(exc.value) == f"edge {shown} out of range for n=4"
+
     def test_strict_increase_everywhere(self):
         rng = random.Random(DEFAULT_SEED)
         for _ in range(300):
@@ -102,6 +108,17 @@ class TestShiftNeighbors:
         g = Graph(4, [(0, 1), (2, 1), (2, 3)])
         with pytest.raises(ValueError, match="already neighbors of u"):
             shift_neighbors(g, ShiftSpec(u=0, v=2, moved=frozenset({1})))
+
+    @pytest.mark.parametrize("u,v,moved,shown", [
+        (-1, 2, {3}, (-1, 2)),
+        (0, 9, {1}, (0, 9)),
+        (0, 2, {-1}, (-1, 2)),
+        (0, 2, {3, 4}, (2, 4)),
+    ])
+    def test_rejects_out_of_range(self, u, v, moved, shown):
+        with pytest.raises(ValueError) as exc:
+            shift_neighbors(P4, ShiftSpec(u=u, v=v, moved=frozenset(moved)))
+        assert str(exc.value) == f"edge {shown} out of range for n=4"
 
     def test_m1_increases_for_any_valid_subset(self):
         rng = random.Random(DEFAULT_SEED)
