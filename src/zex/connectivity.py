@@ -1,17 +1,18 @@
 """Exact vertex and edge connectivity via unit-capacity maximum flow.
 
-One kernel, ``_unit_flow``, computes every flow on out-neighbor bitmasks:
-node ``u`` has a unit arc to every bit of ``arcs[u]``, the flow is kept as
-bitmasks too, and each augmenting path is a shortest residual path.
-Every flow is capped at the best value known so far.  Edge connectivity
-is the minimum over sinks ``t != 0`` of the flow from vertex 0 on the
-neighbor bitmasks.  Vertex connectivity runs its flows in one scan,
-``_vertex_scan``, which returns min(bound, kappa) and stops once a known
-lower bound ``floor`` is met.  It takes the minimum over non-adjacent
-pairs ``(s, t)`` of the number of internally vertex-disjoint paths, as
-flows in the vertex-split digraph (in-node ``2v`` -> out-node ``2v + 1``
--> in-node ``2w`` per neighbor ``w``) on the subgraph induced by an
-``alive`` bitmask: a dead vertex has no in -> out arc.  Its sources obey
+One step, ``_augment``, moves every flow: one shortest augmenting path
+in the residual digraph of a flow kept as bitmasks, on out-neighbor
+bitmasks (node ``u`` has a unit arc to every bit of ``arcs[u]``).
+``_unit_flow`` loops it from the zero flow, capped at the best value
+known so far.  Edge connectivity is the minimum over sinks ``t != 0`` of
+the flow from vertex 0 on the neighbor bitmasks.  Vertex connectivity
+runs its flows in one scan, ``_vertex_scan``, which returns
+min(bound, kappa) and stops once a known lower bound ``floor`` is met.
+It takes the minimum over non-adjacent pairs ``(s, t)`` of the number of
+internally vertex-disjoint paths, as flows in the vertex-split digraph
+(in-node ``2v`` -> out-node ``2v + 1`` -> in-node ``2w`` per neighbor
+``w``) on the subgraph induced by an ``alive`` bitmask: a dead vertex has
+no in -> out arc.  Its sources obey
 Even's rule (Even, SIAM J. Comput. 1975; Esfahanian and Hakimi, Networks
 1984): of the first kappa + 1 alive vertices one lies outside a minimum
 cut ``S``, and the first such one has all smaller alive vertices in
@@ -20,13 +21,28 @@ stops at the first source whose rank is not below the best value found.
 
 Witnesses are the lexicographically smallest minimum cuts, found
 greedily: a vertex (edge) joins the kept set F when removing it leaves
-connectivity exactly kappa - |F| - 1.  Removing any set T leaves at least
-kappa - |T|, so each vertex test is one scan with bound kappa - |F| and
-floor kappa - |F| - 1.  Each edge test is a single flow: while F is
-extendable, lambda(G - F) = kappa' - |F|, so a cut of size kappa' - |F| - 1
-in G - F - uv must separate u from v (one that left them together would
-already cut G - F), and the u-v flow in G - F - uv, capped at
-kappa' - |F|, decides the candidate (Menger; Ford and Fulkerson 1956).
+connectivity exactly kappa - |F| - 1; removing any set T leaves at least
+kappa - |T|.  The vertex greedy keeps one flow per Even pair: s among the
+first kappa + 1 vertices and a later non-neighbor t.  If G - F - v has a
+cut S' of size kappa - |F| - 1, then F + v + S' has at most kappa
+vertices, so by Even's rule it separates such a pair whose source ranks
+below kappa - |F| among the live vertices of G - F - v; the pairs
+therefore serve every step, once those containing a chosen vertex are
+dropped, and a step reads only the pairs with such a source.
+Each pair keeps a flow of G - F of value at least cap = kappa - |F|, as
+vertex paths and a bitmask of their inner vertices; it is computed,
+capped at cap, in G - F - v for the first candidate v that needs it.
+Candidate v joins F iff some pair without v has a path through v that
+one augmenting search, with v's in -> out arc cleared, cannot replace
+once the path is dropped: the local connectivity in G - F - v is then
+cap - 1.  A repaired flow avoids v, so it is also a flow of G - F; a flow
+that avoids v costs nothing, and on acceptance every kept flow just
+drops its path through v.  So a candidate costs at most one search per
+pair, not a scan.  Each edge test is a single flow: while F is
+extendable, lambda(G - F) = kappa' - |F|, so a cut of size
+kappa' - |F| - 1 in G - F - uv must separate u from v (one that left them
+together would already cut G - F), and the u-v flow in G - F - uv, capped
+at kappa' - |F|, decides the candidate (Menger; Ford and Fulkerson 1956).
 Integer flows make every value exact; all functions are pure.
 """
 
@@ -69,46 +85,52 @@ class CutWitness:
     complete: bool = False
 
 
+def _augment(arcs: Sequence[int], fwd: list[int], back: list[int], s: int, t: int) -> bool:
+    """One augmenting search: push a unit along a shortest s-t path of the residual
+    digraph of the flow ``fwd``/``back``, in place; False when t is unreachable.
+
+    The digraph has a unit arc ``u -> v`` for every bit ``v`` of ``arcs[u]``.
+    Bit ``v`` of ``fwd[u]`` is one unit on ``u -> v`` and ``back`` is the
+    transpose of ``fwd``.  Along the path a unit on the reverse arc is
+    cancelled before the arc itself is used, so antiparallel arcs (the two
+    directions of an undirected edge) never both carry flow.
+    """
+    parent: dict[int, int] = {}
+    queue = [s]
+    seen = 1 << s
+    for u in queue:
+        nxt = ((arcs[u] & ~fwd[u]) | back[u]) & ~seen
+        seen |= nxt
+        while nxt:
+            low = nxt & -nxt
+            v = low.bit_length() - 1
+            parent[v] = u
+            queue.append(v)
+            nxt ^= low
+        if seen >> t & 1:
+            break
+    else:
+        return False
+    v = t
+    while v != s:
+        u = parent[v]
+        if back[u] >> v & 1:
+            back[u] ^= 1 << v
+            fwd[v] ^= 1 << u
+        else:
+            fwd[u] |= 1 << v
+            back[v] |= 1 << u
+        v = u
+    return True
+
+
 def _unit_flow(arcs: Sequence[int], s: int, t: int, cutoff: int) -> int:
     """Max s-t flow, capped at ``cutoff``, in the digraph with a unit arc ``u -> v``
-    for every bit ``v`` of ``arcs[u]``.
-
-    The flow is kept as bitmasks: bit ``v`` of ``fwd[u]`` is one unit on
-    ``u -> v`` and ``back`` is the transpose of ``fwd``.  Each augmenting
-    path is a shortest residual path.  Along it a unit on the reverse arc
-    is cancelled before the arc itself is used, so antiparallel arcs (the
-    two directions of an undirected edge) never both carry flow.
-    """
+    for every bit ``v`` of ``arcs[u]``: augmenting searches from the zero flow."""
     fwd = [0] * len(arcs)
     back = [0] * len(arcs)
     flow = 0
-    while flow < cutoff:
-        parent: dict[int, int] = {}
-        queue = [s]
-        seen = 1 << s
-        for u in queue:
-            nxt = ((arcs[u] & ~fwd[u]) | back[u]) & ~seen
-            seen |= nxt
-            while nxt:
-                low = nxt & -nxt
-                v = low.bit_length() - 1
-                parent[v] = u
-                queue.append(v)
-                nxt ^= low
-            if seen >> t & 1:
-                break
-        else:
-            return flow
-        v = t
-        while v != s:
-            u = parent[v]
-            if back[u] >> v & 1:
-                back[u] ^= 1 << v
-                fwd[v] ^= 1 << u
-            else:
-                fwd[u] |= 1 << v
-                back[v] |= 1 << u
-            v = u
+    while flow < cutoff and _augment(arcs, fwd, back, s, t):
         flow += 1
     return flow
 
@@ -123,14 +145,21 @@ def _edge_flow(masks: Sequence[int], s: int, t: int, cutoff: int) -> int:
     return _unit_flow(masks, s, t, cutoff)
 
 
+def _split(masks: Sequence[int], alive: int) -> list[int]:
+    """Arcs of the vertex-split digraph: in-node ``2v`` -> out-node ``2v + 1`` for each
+    live vertex ``v``, out-node ``2v + 1`` -> in-node ``2w`` for each neighbor ``w``."""
+    split: list[int] = []
+    for v, m in enumerate(masks):
+        # "0".join spreads the neighbors to the in-nodes
+        split.append((alive >> v & 1) << (2 * v + 1))
+        split.append(int("0".join(f"{m:b}"), 2))
+    return split
+
+
 def _vertex_scan(masks: Sequence[int], alive: int, bound: int, floor: int = 0) -> int:
     """min(bound, kappa) of the subgraph induced on the bits of ``alive``; a complete
     subgraph, which has no non-adjacent pair, reads as ``bound``.  Stops at ``floor``."""
-    split: list[int] = []
-    for v, m in enumerate(masks):
-        # in -> out arc of a live vertex; "0".join spreads the neighbors to the in-nodes
-        split.append((alive >> v & 1) << (2 * v + 1))
-        split.append(int("0".join(f"{m:b}"), 2))
+    split = _split(masks, alive)
     best = bound
     for i, s in enumerate(_bits(alive)):
         if i >= best or best <= floor:
@@ -160,16 +189,100 @@ def edge_connectivity_value(g: Graph) -> int:
     return best
 
 
+def _augmented(
+    split: Sequence[int], s: int, t: int, paths: list[list[int]], cap: int
+) -> list[list[int]]:
+    """Internally vertex-disjoint s-t paths (inner vertices only) of a flow that
+    extends the one of ``paths`` by augmenting searches, up to ``cap`` paths."""
+    fwd = [0] * len(split)
+    back = [0] * len(split)
+    for path in paths:
+        u = 2 * s + 1
+        for w in path:
+            for x, y in ((u, 2 * w), (2 * w, 2 * w + 1)):
+                fwd[x] |= 1 << y
+                back[y] |= 1 << x
+            u = 2 * w + 1
+        fwd[u] |= 1 << 2 * t
+        back[2 * t] |= 1 << u
+    flow = len(paths)
+    while flow < cap and _augment(split, fwd, back, 2 * s + 1, 2 * t):
+        flow += 1
+    if flow == len(paths):
+        return paths
+    # every inner in-node carries at most one unit, so the flow splits into paths
+    result = []
+    for node in _bits(fwd[2 * s + 1]):
+        path = []
+        while node != 2 * t:
+            path.append(node >> 1)
+            node = fwd[node + 1].bit_length() - 1
+        result.append(path)
+    return result
+
+
+def _path_bits(paths: list[list[int]]) -> int:
+    """Bitmask of the vertices on ``paths``."""
+    used = 0
+    for path in paths:
+        for w in path:
+            used |= 1 << w
+    return used
+
+
 def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     """Lexicographically smallest vertex set of size kappa whose removal disconnects g
-    (none for a complete graph, whose scans all read as their cap kappa - |F| + 1)."""
+    (none for a complete graph, which has no non-adjacent pair)."""
+    masks = g.neighbor_masks
+    full = (1 << g.n) - 1
+    split = _split(masks, full)
+    # Even's pairs; each carries its kept flow as paths and their inner-vertex bitmask
+    pairs = [
+        [s, t, None, 0]
+        for s in range(min(kappa + 1, g.n))
+        for t in _bits(full & ~masks[s] & -(2 << s))
+    ]
     chosen: list[int] = []
-    alive = (1 << g.n) - 1
+    alive = full
     for v in range(g.n):
-        rest = kappa - len(chosen) - 1
-        if rest >= 0 and _vertex_scan(g.neighbor_masks, alive ^ 1 << v, rest + 1, rest) == rest:
-            chosen.append(v)
-            alive ^= 1 << v
+        cap = kappa - len(chosen)
+        if cap <= 0:
+            break
+        split[2 * v] = 0
+        # Even's rule: the source ranks below cap among the live vertices of G - F - v
+        sources = alive ^ 1 << v
+        for _ in range(cap - 1):
+            sources &= sources - 1
+        last = (sources & -sources).bit_length() - 1
+        cut = False
+        for pair in pairs:
+            s, t, paths, used = pair
+            if s > last:
+                break
+            if v == s or v == t:
+                continue
+            if paths is None:
+                paths = _augmented(split, s, t, [], cap)
+            elif used >> v & 1:
+                paths = [path for path in paths if v not in path]
+                if len(paths) < cap:
+                    paths = _augmented(split, s, t, paths, cap)
+            else:
+                continue
+            pair[2], pair[3] = paths, _path_bits(paths)
+            cut = len(paths) < cap
+            if cut:
+                break
+        if not cut:
+            split[2 * v] = 1 << 2 * v + 1
+            continue
+        chosen.append(v)
+        alive ^= 1 << v
+        pairs = [pair for pair in pairs if v != pair[0] and v != pair[1]]
+        for pair in pairs:
+            if pair[3] >> v & 1:
+                pair[2] = [path for path in pair[2] if v not in path]
+                pair[3] = _path_bits(pair[2])
     return tuple(chosen)
 
 

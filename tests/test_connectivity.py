@@ -1,6 +1,7 @@
 """Connectivity: flow-based values, witnesses, and the degree-chain facts."""
 
 import random
+from collections import Counter
 from itertools import chain, combinations
 
 import pytest
@@ -201,6 +202,55 @@ class TestWitnesses:
         assert value == len(cut) == 3
         assert pairs and all(g.has_edge(s, t) for s, t in pairs)
         assert len(pairs) <= g.num_edges
+
+    def test_vertex_greedy_runs_one_search_per_candidate_and_pair(self, monkeypatch):
+        from zex import connectivity, predicted_extremal
+        from zex.graphs import _bits
+
+        perm = list(range(20))
+        random.Random(DEFAULT_SEED).shuffle(perm)
+        g = predicted_extremal(20, 5).relabeled(perm)
+        kappa = vertex_connectivity_value(g)
+        full = (1 << g.n) - 1
+        even_pairs = sum(
+            1 for s in range(kappa + 1) for _ in _bits(full & ~g.neighbor_masks[s] & -(2 << s))
+        )
+        augment = connectivity._augment
+        searches = []
+
+        def recording(arcs, fwd, back, s, t):
+            # the cleared in -> out arcs are F plus the candidate, so they name the step
+            searches.append(((s, t), tuple(arcs)))
+            return augment(arcs, fwd, back, s, t)
+
+        monkeypatch.setattr(connectivity, "_augment", recording)
+        cut = connectivity._lex_min_vertex_cut(g, kappa)
+        assert kappa == len(cut) == 5
+        # at most kappa searches for a pair's first flow, then one per candidate
+        assert searches and len(searches) <= even_pairs * kappa + g.n * even_pairs
+        steps = {}
+        for pair, step in searches:
+            steps.setdefault(pair, Counter())[step] += 1
+        for per_step in steps.values():
+            first, *repairs = per_step.values()
+            assert first <= kappa and all(count == 1 for count in repairs)
+
+    def test_vertex_greedy_memory_on_a_long_path(self):
+        import tracemalloc
+
+        from zex import connectivity
+
+        g = Graph(200, [(v, v + 1) for v in range(199)])
+        value, witness = vertex_connectivity(g)
+        assert (value, witness.members) == (1, (1,))
+        tracemalloc.start()
+        try:
+            connectivity._lex_min_vertex_cut(g, value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # kept flows are vertex paths, not per-pair flow bitmask lists
+        assert peak < 2_000_000
 
 
 class TestEvenSourceBound:

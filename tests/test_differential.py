@@ -9,7 +9,9 @@ import pytest
 
 from conftest import DEFAULT_SEED, random_connected_bipartite, random_graph
 from zex import (
+    FamilyParams,
     SearchSpec,
+    build_family,
     brute_force_edge_connectivity,
     brute_force_vertex_connectivity,
     decode_graph6,
@@ -17,8 +19,12 @@ from zex import (
     enumerate_class,
     is_connected,
     minimum_vertex_cuts,
+    predicted_extremal,
     vertex_connectivity,
+    vertex_connectivity_value,
 )
+from zex.connectivity import _lex_min_vertex_cut
+from zex.search import _vertex_cuts
 
 nx = pytest.importorskip("networkx")
 
@@ -89,11 +95,38 @@ def test_witnesses_match_the_committed_reference():
     if not WITNESS_REFERENCE.exists():
         pytest.skip("perfbench/reference/witness.json is not in this checkout")
     with WITNESS_REFERENCE.open() as fh:
-        entries = [e for e in json.load(fh)["graphs"].values() if e["n"] <= 16]
-    assert len(entries) == 224
+        entries = list(json.load(fh)["graphs"].values())
+    assert len(entries) == 362
     for e in entries:
         g = decode_graph6(e["g6"].encode())
         kappa, vcut = vertex_connectivity(g)
         lam, ecut = edge_connectivity(g)
         assert (kappa, list(vcut.members)) == (e["kappa"], e["vertex_cut"]), e["g6"]
         assert (lam, [list(x) for x in ecut.members]) == (e["lambda"], e["edge_cut"]), e["g6"]
+
+
+def _relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
+
+
+def test_lex_min_vertex_cut_matches_the_first_brute_force_cut():
+    # _vertex_cuts yields the disconnecting k-subsets in lexicographic order, with no flow
+    rng = random.Random(DEFAULT_SEED)
+    cases = []
+    for _ in range(60):
+        n, p = rng.randint(7, 12), rng.choice([0.3, 0.5, 0.7])
+        cases.append(random_graph(rng, n, p))
+        cases.append(random_connected_bipartite(rng, n, p))
+    for n in range(8, 13):
+        cases += [_relabeled(rng, predicted_extremal(n, c)) for c in range(1, n // 2 + 1)]
+        cases += [
+            _relabeled(rng, build_family(FamilyParams(n, k, r)))
+            for k in range(1, n - 1)
+            for r in range(k, n - 1, 2)
+        ]
+    for g in cases:
+        kappa = vertex_connectivity_value(g)
+        expected = next(_vertex_cuts(list(g.neighbor_masks), g.n, kappa), ())
+        assert _lex_min_vertex_cut(g, kappa) == expected, g
