@@ -2,12 +2,18 @@
 
 One step, ``_augment``, moves every flow: one shortest augmenting path
 in the residual digraph of a flow kept as bitmasks, on out-neighbor
-bitmasks (node ``u`` has a unit arc to every bit of ``arcs[u]``).
-``_unit_flow`` loops it from the zero flow, capped at the best value
-known so far.  Edge connectivity is the minimum over sinks ``t != 0`` of
-the flow from vertex 0 on the neighbor bitmasks.  Vertex connectivity
-runs its flows in one scan, ``_vertex_scan``, which returns
-min(bound, kappa) and stops once a known lower bound ``floor`` is met.
+bitmasks (node ``u`` has a unit arc to every bit of ``arcs[u]``).  It
+searches a whole breadth-first layer at a time, as the OR of the
+frontier's residual masks, and walks back from the sink through the
+lowest node of each stored layer that has a residual arc onward
+(Edmonds and Karp, J. ACM 1972).  ``_unit_flow`` loops it from the zero
+flow, capped at the best value known so far.  No flow runs when the
+minimum degree is at most 1: kappa <= lambda <= delta, and each is at
+least 1 iff the graph is connected.  Edge connectivity is the minimum
+over sinks ``t != 0`` of the flow from vertex 0 on the neighbor
+bitmasks.  Vertex connectivity runs its flows in one scan,
+``_vertex_scan``, which returns min(bound, kappa) and stops once a known
+lower bound ``floor`` is met.
 It takes the minimum over non-adjacent pairs ``(s, t)`` of the number of
 internally vertex-disjoint paths, as flows in the vertex-split digraph
 (in-node ``2v`` -> out-node ``2v + 1`` -> in-node ``2w`` per neighbor
@@ -51,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _bits, min_degree
+from .graphs import Graph, _bits, _reach, is_connected, min_degree
 
 __all__ = [
     "MODES",
@@ -94,32 +100,48 @@ def _augment(arcs: Sequence[int], fwd: list[int], back: list[int], s: int, t: in
     transpose of ``fwd``.  Along the path a unit on the reverse arc is
     cancelled before the arc itself is used, so antiparallel arcs (the two
     directions of an undirected edge) never both carry flow.
+
+    The search runs one layer at a time: the next layer is the OR of the
+    residual masks ``(arcs[u] & ~fwd[u]) | back[u]`` of the frontier's
+    nodes, less the nodes already seen, and a layer stops as soon as t's bit
+    shows up.  The walk back from t then takes, at each stored frontier, its
+    lowest node whose residual mask holds the current node.  It pushes the
+    unit on that arc before moving on, which is safe because the frontiers
+    are disjoint: a frontier's residual masks are read before any of its
+    nodes is touched.
     """
-    parent: dict[int, int] = {}
-    queue = [s]
-    seen = 1 << s
-    for u in queue:
-        nxt = ((arcs[u] & ~fwd[u]) | back[u]) & ~seen
-        seen |= nxt
-        while nxt:
-            low = nxt & -nxt
-            v = low.bit_length() - 1
-            parent[v] = u
-            queue.append(v)
-            nxt ^= low
-        if seen >> t & 1:
-            break
-    else:
-        return False
+    layers = []
+    frontier = 1 << s
+    unseen = ((1 << len(arcs)) - 1) ^ frontier
+    nxt = 0
+    while not nxt >> t & 1:
+        if not frontier:
+            return False
+        layers.append(frontier)
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            u = low.bit_length() - 1
+            nxt |= (arcs[u] & ~fwd[u]) | back[u]
+            if nxt >> t & 1:
+                break
+            frontier ^= low
+        frontier = nxt & unseen
+        unseen ^= frontier
     v = t
-    while v != s:
-        u = parent[v]
-        if back[u] >> v & 1:
-            back[u] ^= 1 << v
-            fwd[v] ^= 1 << u
-        else:
-            fwd[u] |= 1 << v
-            back[v] |= 1 << u
+    for layer in reversed(layers):
+        while True:
+            low = layer & -layer
+            u = low.bit_length() - 1
+            if back[u] >> v & 1:
+                back[u] ^= 1 << v
+                fwd[v] ^= 1 << u
+                break
+            if arcs[u] >> v & 1 and not fwd[u] >> v & 1:
+                fwd[u] |= 1 << v
+                back[v] |= 1 << u
+                break
+            layer ^= low
         v = u
     return True
 
@@ -159,6 +181,9 @@ def _split(masks: Sequence[int], alive: int) -> list[int]:
 def _vertex_scan(masks: Sequence[int], alive: int, bound: int, floor: int = 0) -> int:
     """min(bound, kappa) of the subgraph induced on the bits of ``alive``; a complete
     subgraph, which has no non-adjacent pair, reads as ``bound``.  Stops at ``floor``."""
+    if bound <= 1:
+        # kappa >= 1 iff the subgraph is connected, so no flow is needed
+        return bound if _reach(masks, alive & -alive, alive) == alive else 0
     split = _split(masks, alive)
     best = bound
     for i, s in enumerate(_bits(alive)):
@@ -183,6 +208,9 @@ def edge_connectivity_value(g: Graph) -> int:
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
     best = min_degree(g)
+    if best <= 1:
+        # lambda >= 1 iff g is connected, so no flow is needed
+        return best if is_connected(g) else 0
     for t in range(1, g.n):
         if best:
             best = _edge_flow(g.neighbor_masks, 0, t, best)

@@ -92,6 +92,37 @@ class TestEdgeConnectivity:
         assert value == 0 and witness.complete
 
 
+class TestMinDegreeAtMostOne:
+    # kappa <= lambda <= delta, and each is >= 1 iff the graph is connected
+    @pytest.mark.parametrize("g,value", [
+        (Graph(1), 0),
+        (Graph(2, [(0, 1)]), 1),
+        (Graph(5, [(0, 1), (1, 2), (3, 4)]), 0),
+        (Graph(3, [(0, 1)]), 0),
+    ])
+    def test_values(self, g, value):
+        assert vertex_connectivity_value(g) == edge_connectivity_value(g) == value
+
+    def test_trees_run_no_flow(self, monkeypatch):
+        from zex import connectivity
+
+        rng = random.Random(DEFAULT_SEED)
+        tree = Graph(300, [(v, rng.randrange(v)) for v in range(1, 300)])
+        path = Graph(300, [(v, v + 1) for v in range(299)])
+        flow = connectivity._unit_flow
+        flows = []
+
+        def recording(arcs, s, t, cutoff):
+            flows.append((s, t))
+            return flow(arcs, s, t, cutoff)
+
+        monkeypatch.setattr(connectivity, "_unit_flow", recording)
+        for g in (tree, path):
+            assert vertex_connectivity_value(g) == edge_connectivity_value(g) == 1
+            assert is_k_connected(g, 1)
+        assert flows == []
+
+
 class TestIsKConnected:
     def test_k22(self):
         assert is_k_connected(complete_bipartite(2, 2), 2)

@@ -3,6 +3,7 @@
 
 import json
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from conftest import DEFAULT_SEED, random_connected_bipartite, random_graph
 from zex import (
     FamilyParams,
+    Graph,
     SearchSpec,
     build_family,
     brute_force_edge_connectivity,
@@ -23,7 +25,7 @@ from zex import (
     vertex_connectivity,
     vertex_connectivity_value,
 )
-from zex.connectivity import _lex_min_vertex_cut
+from zex.connectivity import _augment, _lex_min_vertex_cut, _split, _unit_flow
 from zex.search import _vertex_cuts
 
 nx = pytest.importorskip("networkx")
@@ -130,3 +132,91 @@ def test_lex_min_vertex_cut_matches_the_first_brute_force_cut():
         kappa = vertex_connectivity_value(g)
         expected = next(_vertex_cuts(list(g.neighbor_masks), g.n, kappa), ())
         assert _lex_min_vertex_cut(g, kappa) == expected, g
+
+
+def _kernel_cases(rng):
+    """(arcs, s, t): random digraphs with antiparallel arcs, vertex-split digraphs, and
+    relabeled copies of a graph whose maximum flow needs a cancelled unit."""
+    for _ in range(80):
+        n = rng.randint(2, 12)
+        p, both = rng.choice([0.2, 0.4, 0.7]), rng.random()
+        arcs = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    # an undirected edge with probability ``both``, else one direction
+                    if rng.random() < both:
+                        arcs[u] |= 1 << v
+                        arcs[v] |= 1 << u
+                    elif rng.random() < 0.5:
+                        arcs[u] |= 1 << v
+                    else:
+                        arcs[v] |= 1 << u
+        s, t = rng.sample(range(n), 2)
+        yield arcs, s, t
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.3, 0.5, 0.8]))
+        alive = rng.getrandbits(g.n) | 0b11
+        s, t = rng.sample(range(g.n), 2)
+        yield _split(g.neighbor_masks, alive), 2 * s + 1, 2 * t
+    # 0-1-2-3 is the only shortest 0-3 path, but the flow of 2 is 0-4-5-2-3 and
+    # 0-1-6-7-3, so the second search must cancel the unit on 1 -> 2
+    trap = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 2), (1, 6), (6, 7), (7, 3)]
+    for _ in range(20):
+        n = rng.randint(8, 11)
+        perm = rng.sample(range(n), n)
+        arcs = [0] * n
+        for u, v in trap:
+            arcs[perm[u]] |= 1 << perm[v]
+        yield arcs, perm[0], perm[3]
+        g = Graph(n, [(perm[u], perm[v]) for u, v in trap])
+        yield list(g.neighbor_masks), perm[0], perm[3]
+        yield _split(g.neighbor_masks, (1 << n) - 1), 2 * perm[0] + 1, 2 * perm[3]
+
+
+def _residual_distance(arcs, fwd, s, t):
+    """Breadth-first s-t distance in the residual digraph, on node lists; None if cut."""
+    n = len(arcs)
+    dist = {s: 0}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v in range(n):
+            forward = arcs[u] >> v & 1 and not fwd[u] >> v & 1
+            if (forward or fwd[v] >> u & 1) and v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist.get(t)
+
+
+def test_unit_flow_kernel_matches_networkx_maximum_flow():
+    rng = random.Random(DEFAULT_SEED)
+    cancelled = 0
+    for arcs, s, t in _kernel_cases(rng):
+        n = len(arcs)
+        h = nx.DiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(((u, v) for u in range(n) for v in range(n) if arcs[u] >> v & 1), capacity=1)
+        expected = nx.maximum_flow_value(h, s, t)
+        assert _unit_flow(arcs, s, t, n * n) == expected, (arcs, s, t)
+        fwd, back = [0] * n, [0] * n
+        flow = 0
+        while True:
+            dist = _residual_distance(arcs, fwd, s, t)
+            before = list(fwd), list(back)
+            if not _augment(arcs, fwd, back, s, t):
+                break
+            flow += 1
+            assert flow <= expected, (arcs, s, t)
+            # one shortest path: each of its arcs toggles one bit of fwd
+            assert sum((a ^ b).bit_count() for a, b in zip(before[0], fwd)) == dist
+            cancelled += sum((a & ~b).bit_count() for a, b in zip(before[0], fwd))
+            for u in range(n):
+                assert fwd[u] & ~arcs[u] == 0
+                assert fwd[u] & back[u] == 0  # antiparallel arcs never both carry flow
+                assert back[u] == sum(1 << w for w in range(n) if fwd[w] >> u & 1)
+                excess = back[u].bit_count() - fwd[u].bit_count()
+                assert excess == (flow if u == t else -flow if u == s else 0)
+        assert flow == expected and dist is None
+        assert (fwd, back) == before
+    assert cancelled >= 60
