@@ -12,18 +12,17 @@ minimum degree is at most 1: kappa <= lambda <= delta, and each is at
 least 1 iff the graph is connected.  Edge connectivity is the minimum
 over sinks ``t != 0`` of the flow from vertex 0 on the neighbor
 bitmasks.  Vertex connectivity runs its flows in one scan,
-``_vertex_scan``, which returns min(bound, kappa) and stops once a known
-lower bound ``floor`` is met.
-It takes the minimum over non-adjacent pairs ``(s, t)`` of the number of
-internally vertex-disjoint paths, as flows in the vertex-split digraph
-(in-node ``2v`` -> out-node ``2v + 1`` -> in-node ``2w`` per neighbor
-``w``) on the subgraph induced by an ``alive`` bitmask: a dead vertex has
-no in -> out arc.  Its sources obey
-Even's rule (Even, SIAM J. Comput. 1975; Esfahanian and Hakimi, Networks
-1984): of the first kappa + 1 alive vertices one lies outside a minimum
-cut ``S``, and the first such one has all smaller alive vertices in
-``S``, so ``S`` separates it from a later vertex.  The scan therefore
-stops at the first source whose rank is not below the best value found.
+``_vertex_scan``, which returns min(bound, kappa) and stops at a zero
+flow.  It takes the minimum over non-adjacent pairs ``(s, t)`` of the
+number of internally vertex-disjoint paths, as flows in the vertex-split
+digraph (in-node ``2v`` -> out-node ``2v + 1`` -> in-node ``2w`` per
+neighbor ``w``); the witness greedy below deletes a vertex by clearing
+its in -> out arc.  Its sources obey Even's rule (Even, SIAM J. Comput.
+1975; Esfahanian and Hakimi, Networks 1984): of the first kappa + 1
+vertices one lies outside a minimum cut ``S``, and the first such one
+has all smaller vertices in ``S``, so ``S`` separates it from a later
+vertex.  The scan therefore stops at the first source whose rank is not
+below the best value found.
 
 Witnesses are the lexicographically smallest minimum cuts, found
 greedily: a vertex (edge) joins the kept set F when removing it leaves
@@ -167,32 +166,33 @@ def _edge_flow(masks: Sequence[int], s: int, t: int, cutoff: int) -> int:
     return _unit_flow(masks, s, t, cutoff)
 
 
-def _split(masks: Sequence[int], alive: int) -> list[int]:
+def _split(masks: Sequence[int]) -> list[int]:
     """Arcs of the vertex-split digraph: in-node ``2v`` -> out-node ``2v + 1`` for each
-    live vertex ``v``, out-node ``2v + 1`` -> in-node ``2w`` for each neighbor ``w``."""
+    vertex ``v``, out-node ``2v + 1`` -> in-node ``2w`` for each neighbor ``w``."""
     split: list[int] = []
     for v, m in enumerate(masks):
         # "0".join spreads the neighbors to the in-nodes
-        split.append((alive >> v & 1) << (2 * v + 1))
+        split.append(1 << (2 * v + 1))
         split.append(int("0".join(f"{m:b}"), 2))
     return split
 
 
-def _vertex_scan(masks: Sequence[int], alive: int, bound: int, floor: int = 0) -> int:
-    """min(bound, kappa) of the subgraph induced on the bits of ``alive``; a complete
-    subgraph, which has no non-adjacent pair, reads as ``bound``.  Stops at ``floor``."""
+def _vertex_scan(masks: Sequence[int], bound: int) -> int:
+    """min(bound, kappa) of the graph of ``masks``; a complete graph, which has no
+    non-adjacent pair, reads as ``bound``."""
+    full = (1 << len(masks)) - 1
     if bound <= 1:
-        # kappa >= 1 iff the subgraph is connected, so no flow is needed
-        return bound if _reach(masks, alive & -alive, alive) == alive else 0
-    split = _split(masks, alive)
+        # kappa >= 1 iff the graph is connected, so no flow is needed
+        return bound if _reach(masks, 1, full) == full else 0
+    split = _split(masks)
     best = bound
-    for i, s in enumerate(_bits(alive)):
-        if i >= best or best <= floor:
+    for s in range(len(masks)):
+        if s >= best:
             break
-        for t in _bits(alive & ~masks[s] & -(2 << s)):
-            if best <= floor:
-                break
+        for t in _bits(full & ~masks[s] & -(2 << s)):
             best = _vertex_flow(split, s, t, best)
+            if not best:
+                break
     return best
 
 
@@ -200,7 +200,7 @@ def vertex_connectivity_value(g: Graph) -> int:
     """Vertex connectivity: 0 for disconnected graphs and K1, n-1 for complete graphs."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
-    return _vertex_scan(g.neighbor_masks, (1 << g.n) - 1, min_degree(g))
+    return _vertex_scan(g.neighbor_masks, min_degree(g))
 
 
 def edge_connectivity_value(g: Graph) -> int:
@@ -263,7 +263,7 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     (none for a complete graph, which has no non-adjacent pair)."""
     masks = g.neighbor_masks
     full = (1 << g.n) - 1
-    split = _split(masks, full)
+    split = _split(masks)
     # Even's pairs; each carries its kept flow as paths and their inner-vertex bitmask
     pairs = [
         [s, t, None, 0]
@@ -353,4 +353,4 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the graph has more than ``k`` vertices and connectivity at least ``k``."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return g.n > k and _vertex_scan(g.neighbor_masks, (1 << g.n) - 1, k) >= k
+    return g.n > k and _vertex_scan(g.neighbor_masks, k) >= k

@@ -1,27 +1,27 @@
-"""Builders for complete bipartite graphs and the candidate extremal family.
+"""Complete bipartite graphs and the candidate extremal family, as class tables.
 
-The parametric family ``build_family(FamilyParams(n, k, r))`` is the
-n-vertex bipartite graph assembled from
+Each graph built here is given by a class table: ``counts``, the class
+sizes in label order, and ``joins``, the pairs of class indices that are
+joined.  A class is an independent set of consecutive labels, and a join
+makes its two classes complete to each other.  ``_blowup`` builds the
+graph of a table; ``_blowup_indices`` reads both indices off the table,
+since a vertex's degree is the total size of the classes joined to its own.
 
-* a distinguished vertex ``v``,
-* an independent set ``C`` of ``k`` vertices, each adjacent to ``v``,
-* a complete bipartite graph between a set ``A`` of ``n - r - 1``
-  vertices and a set ``B`` of ``r - k`` vertices,
-
-with every vertex of ``C`` additionally adjacent to every vertex of
-``A``.  The degree profile is ``d(v) = k``, ``d(c) = n - r``,
-``d(a) = r`` and ``d(b) = n - r - 1``.  When ``r = k`` the set ``B`` is
-empty and the family degenerates to the complete bipartite K_{k,n-k}.
-
-``predicted_extremal`` returns, for each order and connectivity value,
-the family member conjectured (and verified by exhaustive search at small
-order) to maximize both degree-power indices among bipartite graphs of
-that order and exact vertex (or edge) connectivity.
+K_{p,q} is the table ``(p, q)`` with one join.  The family member
+``build_family(FamilyParams(n, k, r))`` is the chain v - C - A - B with
+sizes ``(1, k, n - r - 1, r - k)``, so ``d(v) = k``, ``d(c) = n - r``,
+``d(a) = r`` and ``d(b) = n - r - 1``; when ``r = k``, ``B`` is empty and
+the member is K_{k,n-k}.  ``predicted_extremal`` returns the member
+conjectured (and verified by exhaustive search at small order) to maximize
+both indices among bipartite graphs of its order and exact vertex (or
+edge) connectivity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 from .connectivity import MODES
 from .graphs import Graph
@@ -73,12 +73,8 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class VertexLayout:
-    """Fixed vertex labels of a family graph, for reproducible encodings.
-
-    ``v`` is label 0, ``c_vertices`` are ``1..k``, ``a_vertices`` the
-    first ``n - r - 2`` core-A labels, ``a_last`` the final core-A label
-    and ``b_vertices`` the remaining ``r - k`` labels.
-    """
+    """Fixed vertex labels of a family graph, for reproducible encodings: the label
+    ranges of its classes v, C, A (its last label ``a_last`` apart) and B."""
 
     v: int
     c_vertices: tuple[int, ...]
@@ -91,68 +87,73 @@ class VertexLayout:
         return self.a_vertices + (self.a_last,)
 
 
+def _classes(counts: Sequence[int]) -> list[range]:
+    """The label range of each class of a blow-up: consecutive, in class order."""
+    return [range(end - size, end) for size, end in zip(counts, accumulate(counts))]
+
+
+def _blowup(counts: Sequence[int], joins: Sequence[tuple[int, int]]) -> Graph:
+    """The graph of a class table: independent classes of ``counts`` vertices, and
+    each pair of classes in ``joins`` joined completely."""
+    labels = _classes(counts)
+    return Graph(sum(counts), [(u, v) for i, j in joins for u in labels[i] for v in labels[j]])
+
+
+def _blowup_indices(counts: Sequence[int], joins: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """``(M1, M2)`` of ``_blowup(counts, joins)``, without building it: a class's
+    degree is the total size of the classes joined to it."""
+    degrees = [0] * len(counts)
+    for i, j in joins:
+        degrees[i] += counts[j]
+        degrees[j] += counts[i]
+    first = sum(size * d * d for size, d in zip(counts, degrees))
+    second = sum(counts[i] * counts[j] * degrees[i] * degrees[j] for i, j in joins)
+    return first, second
+
+
+def _family_table(p: FamilyParams) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The class table of ``build_family(p)``: the chain v - C - A - B."""
+    return (1, p.k, p.a_count, p.b_count), ((0, 1), (1, 2), (2, 3))
+
+
 def layout_of(p: FamilyParams) -> VertexLayout:
     """The canonical label assignment for ``build_family(p)``."""
-    k, a = p.k, p.a_count
-    return VertexLayout(
-        v=0,
-        c_vertices=tuple(range(1, k + 1)),
-        a_vertices=tuple(range(k + 1, k + a)),
-        a_last=k + a,
-        b_vertices=tuple(range(k + a + 1, p.n)),
-    )
+    v, c, a, b = _classes(_family_table(p)[0])
+    return VertexLayout(v[0], tuple(c), tuple(a[:-1]), a[-1], tuple(b))
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     """K_{p,q} on labels ``0..p-1`` and ``p..p+q-1``; K_{p,0} is p isolated vertices."""
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("complete_bipartite requires p, q >= 0 and p + q >= 1")
-    return Graph(p + q, [(i, p + j) for i in range(p) for j in range(q)])
+    return _blowup((p, q), ((0, 1),))
 
 
 def build_family(p: FamilyParams) -> Graph:
     """Construct the family graph on the canonical ``VertexLayout`` labels."""
-    lay = layout_of(p)
-    edges = [(lay.v, c) for c in lay.c_vertices]
-    edges += [(c, a) for c in lay.c_vertices for a in lay.a_all]
-    edges += [(a, b) for a in lay.a_all for b in lay.b_vertices]
-    return Graph(p.n, edges)
+    return _blowup(*_family_table(p))
 
 
 def family_m1(p: FamilyParams) -> int:
-    """Closed form of the first index on the family's degree profile."""
-    n, k, r = p.n, p.k, p.r
-    return k * k + k * (n - r) ** 2 + (n - r - 1) * r * r + (r - k) * (n - r - 1) ** 2
+    """The first index of the family member, evaluated on its class table."""
+    return _blowup_indices(*_family_table(p))[0]
 
 
 def family_m2(p: FamilyParams) -> int:
-    """Closed form of the second index, summed over the three edge groups."""
-    n, k, r = p.n, p.k, p.r
-    return (
-        k * k * (n - r)
-        + k * r * (n - r) * (n - r - 1)
-        + r * (r - k) * (n - r - 1) ** 2
-    )
+    """The second index of the family member, evaluated on its class table."""
+    return _blowup_indices(*_family_table(p))[1]
 
 
 def predicted_extremal(n: int, c: int, mode: str = "vertex") -> Graph:
-    """The predicted index maximizer among bipartite graphs of order ``n``
-    with vertex (or edge) connectivity exactly ``c``.
-
-    For odd ``n`` this is the family member whose core-A part has size
-    ``(n - 1) / 2``; for even ``n`` it is K_{n/2,n/2} when ``c = n/2`` and
-    otherwise the member with core-A size ``n / 2``.  The same rule covers
-    both connectivity modes.
-    """
+    """The predicted index maximizer among bipartite graphs of order ``n`` with
+    vertex (or edge) connectivity exactly ``c``: K_{n/2,n/2} when ``c = n/2``,
+    otherwise the family member with ``r = (n - 1) // 2``."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if n < 6:
         raise ValueError("predicted maximizers are defined for n >= 6")
     if c < 1 or c > n // 2:
         raise ValueError(f"no bipartite graph of order {n} has connectivity {c}")
-    if n % 2 == 1:
-        # c <= n // 2 == (n - 1) / 2 always holds here
-        return build_family(FamilyParams(n, c, (n - 1) // 2))
-    if c == n // 2:
+    if c > (n - 1) // 2:
         return complete_bipartite(n // 2, n // 2)
-    return build_family(FamilyParams(n, c, (n - 2) // 2))
+    return build_family(FamilyParams(n, c, (n - 1) // 2))

@@ -16,14 +16,16 @@ rewirings: re-attaching the last core-A vertex to the rest of core A
 (applicable when ``2r <= n - 4``), and re-attaching the distinguished
 vertex from ``C`` to core A (applicable when ``2r > n``).  Both strictly
 increase the indices; the second does so by the exact amounts
-``k(2 + 4r - 2n)`` and ``(2r - n + 1) k^2``.
+``k(2 + 4r - 2n)`` and ``(2r - n + 1) k^2``.  Each is built from its own
+class table, as the family is (see ``zex.families``), on the family's
+labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import FamilyParams, build_family, layout_of
+from .families import FamilyParams, _blowup
 from .graphs import Graph
 
 __all__ = [
@@ -98,12 +100,8 @@ def case1_rewire(p: FamilyParams) -> Graph:
         raise ValueError("case 1 rewiring requires n >= 6")
     if 2 * p.r > p.n - 4:
         raise ValueError(f"case 1 rewiring requires 2r <= n - 4, got r={p.r}, n={p.n}")
-    g = build_family(p)
-    lay = layout_of(p)
-    removed = [(lay.a_last, c) for c in lay.c_vertices]
-    removed += [(lay.a_last, b) for b in lay.b_vertices]
-    added = [(lay.a_last, a) for a in lay.a_vertices]
-    return g.with_edges_changed(removed=removed, added=added)
+    # classes v, C, A' (core A less its last vertex), a_last, B; a_last is joined to A' alone
+    return _blowup((1, p.k, p.a_count - 1, 1, p.b_count), ((0, 1), (1, 2), (2, 3), (2, 4)))
 
 
 def case2_rewire(p: FamilyParams) -> Graph:
@@ -122,8 +120,7 @@ def case2_rewire(p: FamilyParams) -> Graph:
         raise ValueError(
             f"case 2 rewiring requires n - r - 1 >= k, got {p.a_count} < {p.k}"
         )
-    g = build_family(p)
-    lay = layout_of(p)
-    removed = [(lay.v, c) for c in lay.c_vertices]
-    added = [(lay.v, a) for a in lay.a_all[: p.k]]
-    return g.with_edges_changed(removed=removed, added=added)
+    # classes v, C, A1 (the first k core-A vertices), A2 (the rest), B; v is joined to A1 alone
+    return _blowup(
+        (1, p.k, p.k, p.a_count - p.k, p.b_count), ((0, 2), (1, 2), (1, 3), (2, 4), (3, 4))
+    )

@@ -158,7 +158,11 @@ def _kernel_cases(rng):
         g = random_graph(rng, rng.randint(2, 12), rng.choice([0.3, 0.5, 0.8]))
         alive = rng.getrandbits(g.n) | 0b11
         s, t = rng.sample(range(g.n), 2)
-        yield _split(g.neighbor_masks, alive), 2 * s + 1, 2 * t
+        split = _split(g.neighbor_masks)
+        for v in range(g.n):
+            if not alive >> v & 1:
+                split[2 * v] = 0  # a dead vertex has no in -> out arc, as in the witness greedy
+        yield split, 2 * s + 1, 2 * t
     # 0-1-2-3 is the only shortest 0-3 path, but the flow of 2 is 0-4-5-2-3 and
     # 0-1-6-7-3, so the second search must cancel the unit on 1 -> 2
     trap = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 2), (1, 6), (6, 7), (7, 3)]
@@ -171,7 +175,7 @@ def _kernel_cases(rng):
         yield arcs, perm[0], perm[3]
         g = Graph(n, [(perm[u], perm[v]) for u, v in trap])
         yield list(g.neighbor_masks), perm[0], perm[3]
-        yield _split(g.neighbor_masks, (1 << n) - 1), 2 * perm[0] + 1, 2 * perm[3]
+        yield _split(g.neighbor_masks), 2 * perm[0] + 1, 2 * perm[3]
 
 
 def _residual_distance(arcs, fwd, s, t):

@@ -4,8 +4,12 @@ import pytest
 
 from zex import (
     FamilyParams,
+    Graph,
+    VertexLayout,
     build_family,
     canonical_form,
+    case1_rewire,
+    case2_rewire,
     complete_bipartite,
     bipartition_of,
     edge_connectivity_value,
@@ -14,9 +18,11 @@ from zex import (
     layout_of,
     m1,
     m2,
+    min_degree,
     predicted_extremal,
     vertex_connectivity_value,
 )
+from zex.families import _blowup, _blowup_indices
 
 
 def all_params(n_lo, n_hi, extra=lambda p: True):
@@ -190,3 +196,132 @@ class TestPredictedExtremal:
                         assert vertex_connectivity_value(g) == c
                     else:
                         assert edge_connectivity_value(g) == c
+
+
+# Reference encodings, written apart from the class tables that the library builds and
+# evaluates: the family's labels by arithmetic, its edges as one list per role, the
+# rewirings as edge diffs on it, and the hand-derived closed forms.
+
+
+def ref_layout(p):
+    k, a = p.k, p.a_count
+    return VertexLayout(
+        v=0,
+        c_vertices=tuple(range(1, k + 1)),
+        a_vertices=tuple(range(k + 1, k + a)),
+        a_last=k + a,
+        b_vertices=tuple(range(k + a + 1, p.n)),
+    )
+
+
+def ref_family(p):
+    lay = ref_layout(p)
+    edges = [(lay.v, c) for c in lay.c_vertices]
+    edges += [(c, a) for c in lay.c_vertices for a in lay.a_all]
+    edges += [(a, b) for a in lay.a_all for b in lay.b_vertices]
+    return Graph(p.n, edges)
+
+
+def ref_case1(p):
+    # the last core-A vertex leaves C and B for the rest of core A
+    lay = ref_layout(p)
+    removed = [(lay.a_last, c) for c in lay.c_vertices]
+    removed += [(lay.a_last, b) for b in lay.b_vertices]
+    added = [(lay.a_last, a) for a in lay.a_vertices]
+    return ref_family(p).with_edges_changed(removed=removed, added=added)
+
+
+def ref_case2(p):
+    # the distinguished vertex leaves C for the first k core-A vertices
+    lay = ref_layout(p)
+    removed = [(lay.v, c) for c in lay.c_vertices]
+    added = [(lay.v, a) for a in lay.a_all[: p.k]]
+    return ref_family(p).with_edges_changed(removed=removed, added=added)
+
+
+def ref_complete_bipartite(p, q):
+    return Graph(p + q, [(i, p + j) for i in range(p) for j in range(q)])
+
+
+def ref_m1(p):
+    n, k, r = p.n, p.k, p.r
+    return k * k + k * (n - r) ** 2 + (n - r - 1) * r * r + (r - k) * (n - r - 1) ** 2
+
+
+def ref_m2(p):
+    # summed over the three edge groups v-C, C-A and A-B
+    n, k, r = p.n, p.k, p.r
+    return k * k * (n - r) + k * r * (n - r) * (n - r - 1) + r * (r - k) * (n - r - 1) ** 2
+
+
+def ref_predicted(n, c):
+    if n % 2 == 1:
+        return ref_family(FamilyParams(n, c, (n - 1) // 2))
+    if c == n // 2:
+        return ref_complete_bipartite(n // 2, n // 2)
+    return ref_family(FamilyParams(n, c, (n - 2) // 2))
+
+
+class TestClassTablesMatchReferences:
+    def test_complete_bipartite(self):
+        for p in range(12):
+            for q in range(12):
+                if p + q:
+                    assert complete_bipartite(p, q) == ref_complete_bipartite(p, q), (p, q)
+
+    def test_family_layout_masks_and_closed_forms(self):
+        for p in all_params(6, 30):
+            assert layout_of(p) == ref_layout(p), p
+            assert build_family(p).neighbor_masks == ref_family(p).neighbor_masks, p
+            assert (family_m1(p), family_m2(p)) == (ref_m1(p), ref_m2(p)), p
+
+    def test_rewirings_where_they_apply(self):
+        applied = [0, 0]
+        for p in all_params(6, 30):
+            if 2 * p.r <= p.n - 4:
+                assert case1_rewire(p).neighbor_masks == ref_case1(p).neighbor_masks, p
+                applied[0] += 1
+            if 2 * p.r > p.n and p.a_count >= p.k:
+                assert case2_rewire(p).neighbor_masks == ref_case2(p).neighbor_masks, p
+                applied[1] += 1
+        assert applied == [819, 909]
+
+    def test_predicted_extremal(self):
+        for n in range(6, 63):
+            for c in range(1, n // 2 + 1):
+                expected = ref_predicted(n, c).neighbor_masks
+                for mode in ("vertex", "edge"):
+                    assert predicted_extremal(n, c, mode).neighbor_masks == expected, (n, c, mode)
+
+
+def _compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+# The saturation lemma's graph H(s_X, s_Y, l_X, l_Y, r_X, r_Y), classes in that order: the
+# cut S = S_X + S_Y leaves the sides L and R, and each side is made complete bipartite
+# within itself and to S
+SATURATED_JOINS = ((0, 1), (0, 3), (0, 5), (2, 1), (2, 3), (4, 1), (4, 5))
+
+
+def test_saturated_graph_connectivity_is_cut_size_or_min_degree():
+    # each class is a set of false twins, so a minimum cut takes classes whole:
+    # kappa(H) = min(s_X + s_Y, delta(H))
+    checked = 0
+    for n in range(2, 13):
+        for counts in _compositions(n, 6):
+            s_x, s_y, l_x, l_y, r_x, r_y = counts
+            # both sides nonempty, folded so that L <= R
+            if s_x + s_y < 1 or l_x + l_y < 1 or (l_x, l_y) > (r_x, r_y):
+                continue
+            g = _blowup(counts, SATURATED_JOINS)
+            assert vertex_connectivity_value(g) == min(s_x + s_y, min_degree(g)), counts
+            assert _blowup_indices(counts, SATURATED_JOINS) == (m1(g), m2(g)), counts
+            checked += 1
+    assert checked == 6923

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import cache
 from math import comb, factorial
 
 import pytest
@@ -166,6 +167,18 @@ class TestWeightedSweep:
                 expected = sum(1 for _ in enumerate_class(spec))
                 assert search_max(spec).graphs_enumerated == expected, (mode, c)
 
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_class_totals_match_an_independent_count(self, mode):
+        # summed over c, the sweep's class sizes count the connected spanning subgraphs
+        # of K_{p,n-p} for every p <= n / 2; count those with no sweep
+        expected = {
+            n: sum(_connected_spanning(p, n - p) for p in range(n // 2 + 1)) for n in range(2, 10)
+        }
+        assert [expected[n] for n in range(6, 10)] == [271, 2007, 51204, 745210]
+        for n in range(2, 10):
+            report = search_max(SearchSpec(n, mode, 1, "M1"), at_least=True)
+            assert report.graphs_enumerated == expected[n], n
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_maximizers_are_the_argmax_classes(self, n):
         for mode in ("vertex", "edge"):
@@ -204,6 +217,24 @@ class TestWeightedSweep:
         for d in serial + pooled:
             d.pop("elapsed")
         assert serial == pooled
+
+
+@cache
+def _connected_spanning(p, q):
+    """Labeled connected spanning subgraphs of K_{p,q}: all 2^(pq) subgraphs less those
+    in which the component of vertex 0 (on the p side) has i < p or j < q vertices
+    (Harary and Palmer, Graphical Enumeration, 1973)."""
+    if p == 0:
+        p, q = q, p
+    if p == 0:
+        return 0
+    count = 2 ** (p * q)
+    for i in range(1, p + 1):
+        for j in range(q + 1):
+            if (i, j) != (p, q):
+                rest = 2 ** ((p - i) * (q - j))
+                count -= comb(p - 1, i - 1) * comb(q, j) * _connected_spanning(i, j) * rest
+    return count
 
 
 def _flat_orbit_size(rows):
