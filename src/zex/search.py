@@ -5,31 +5,42 @@ rows (the neighborhoods of vertices ``0..p-1`` in the other part).  Rows
 are placed one at a time by ``_place_row``, which also sets the row's
 bit in the ``q = n - p`` column masks, so a walk over patterns carries
 the masks of the rows placed so far.  One decoder, ``_bipartite_masks``,
-adds the last row; one classifier, ``_classify``, turns the result into
-neighbor bitmasks, degrees and both connectivity values, or rejects it
-(isolated vertex, disconnected).  Vertex connectivity comes from one cut
-enumerator, ``_vertex_cuts``, which yields the disconnecting
-``k``-subsets in lexicographic order and also backs the brute-force
-route and ``minimum_vertex_cuts``.
+adds the last row; one classifier, ``_connectivity``, gives the degrees
+and both connectivity values of a connected graph; ``_classify`` chains
+the decoder, the connectedness test and the classifier, and rejects
+isolated vertices and disconnected graphs.  Vertex connectivity comes
+from one cut enumerator, ``_vertex_cuts``, which yields the
+disconnecting ``k``-subsets in lexicographic order and also backs the
+brute-force route and ``minimum_vertex_cuts``.
 
 ``enumerate_class`` classifies all ``2^(p(n-p))`` patterns for each ``p``
 from 1 to ``n // 2`` and yields the labeled graphs of connectivity
 exactly ``c``, hitting every isomorphism class at least once.
-The sweep behind ``search_max`` classifies only tuples of nonzero,
-nondecreasing rows (permuting rows gives an isomorphic graph), each
-counted with its orbit size ``p! / prod(multiplicity!)``, so class sizes
-(``graphs_enumerated``), maxima and maximizer classes are exactly those
-of the labeled enumeration.  It walks the tuples depth first, row by row
-in lexicographic order, and carries the placed masks and the orbit size
-down the rows: the orbit size grows by ``(i + 1) / r`` when row ``i``
-ends a run of ``r`` equal rows, so no leaf rebuilds a mask or recounts
-multiplicities.  Only the final ties are canonicalized; each maximizer
-is reported as the graph6 of its canonical form, sorted.
+
+The sweep behind ``search_max`` visits at least one pattern, and seldom
+more than a few, of every class of ``p x q`` 0/1 matrices under row and
+column permutations.  Every 0/1 matrix has a row and column order in
+which both the rows and the columns are nondecreasing (Lubiw, SIAM J.
+Comput. 1987), so the sweep walks only such doubly lexical matrices.
+It places nondecreasing nonzero rows depth first, carries the placed
+masks down the rows, and prunes a prefix as soon as two column prefixes
+are out of order (columns are read with row 0 as the high bit, so a
+prefix decides a column pair for good).  A connected leaf gets a
+part-coloured canonical form (``_canon_search`` from colours
+``[0]*p + [1]*q``); each new class is classified once and weighted by
+``p! q! / |Aut|``, the number of labeled patterns in it, where ``|Aut|``
+comes from the same canonical search.  Class sizes
+(``graphs_enumerated``), maxima and maximizer classes are therefore
+exactly those of the labeled enumeration.  Only the final ties are
+canonicalized without colours; each maximizer is reported as the graph6
+of its canonical form, sorted.
 
 The sweep of the latest order is cached and shared by all (mode, value,
 index) cells.  It is split into tasks ``(n, p, lo, hi)``, first-row
 ranges that worker processes run independently (a failing task raises
-``SweepTaskError`` naming it); results are merged by an associative
+``SweepTaskError`` naming it).  Each task returns its classes keyed by
+``(p, coloured form)``; ``_merge_cells`` unions them in task order, so a
+class found by two tasks counts once, and totals them into cells with a
 max-with-tie-union, so reports do not depend on the worker count.
 
 Also here: brute-force connectivity (the independent cross-check for the
@@ -37,9 +48,10 @@ flow-based module), minimum-cut predicates, and a label-invariant
 canonical form used to deduplicate maximizers.
 
 Scale caps: full sweeps support ``n <= 10``; the canonical form supports
-``n <= 16``.  A serial sweep of orders 6-9 takes about 0.37 s and one
-of order 10 (1,428,007 row-sorted masks) about 7 s, in one process on a
-2-CPU x86-64 VM with Python 3.11.
+``n <= 16``.  A serial sweep of orders 6-9 (3,314 doubly lexical
+patterns) takes about 0.3 s and one of order 10 (28,619 patterns) about
+3 s, in one process on a 2-CPU x86-64 VM with Python 3.11; most of it is
+the canonical search.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 from typing import Iterator, Optional
 
 from .connectivity import MODES, vertex_connectivity_value
@@ -62,6 +74,7 @@ from .graphs import (
     _pack_graph6,
     _reach,
     connected_components,
+    decode_graph6,
     encode_graph6,
     index_value,
     is_connected,
@@ -204,19 +217,25 @@ def _bipartite_masks(p: int, carried: list[int], row: int) -> Optional[list[int]
     return None if 0 in masks else masks
 
 
-def _classify(n: int, p: int, carried: list[int], row: int) -> Optional[tuple]:
-    """``(masks, degrees, (kappa, kappa_prime))`` of the bipartite graph
-    decoded by ``_bipartite_masks``, or None when it has an isolated vertex
-    or is disconnected.  The connectivity values are in ``MODES`` order."""
-    masks = _bipartite_masks(p, carried, row)
-    if masks is None or not _connected_masks(masks, (1 << n) - 1):
-        return None
+def _connectivity(masks: list[int], n: int) -> tuple[list[int], tuple[int, int]]:
+    """``(degrees, (kappa, kappa_prime))`` of a connected graph given as
+    bitmasks; the connectivity values are in ``MODES`` order."""
     degs = [m.bit_count() for m in masks]
     delta = min(degs)
     kappa = _kappa_masks(masks, n, delta)
     # kappa <= kappa' <= delta
     kappa_p = delta if kappa == delta else _kappa_prime_masks(masks, n, delta)
-    return masks, degs, (kappa, kappa_p)
+    return degs, (kappa, kappa_p)
+
+
+def _classify(n: int, p: int, carried: list[int], row: int) -> Optional[tuple]:
+    """``(masks, degrees, (kappa, kappa_prime))`` of the bipartite graph
+    decoded by ``_bipartite_masks``, or None when it has an isolated vertex
+    or is disconnected."""
+    masks = _bipartite_masks(p, carried, row)
+    if masks is None or not _connected_masks(masks, (1 << n) - 1):
+        return None
+    return (masks, *_connectivity(masks, n))
 
 
 def _masks_to_graph(masks: list[int], n: int) -> Graph:
@@ -276,14 +295,14 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
 @dataclass
 class _IndexMax:
     best: int = -1
-    ties: list[tuple[int, ...]] = field(default_factory=list)  # neighbor masks of current maximizers
+    ties: list[bytes] = field(default_factory=list)  # part-coloured forms of current maximizers
 
-    def offer(self, value: int, masks: tuple[int, ...]) -> None:
+    def offer(self, value: int, form: bytes) -> None:
         if value > self.best:
             self.best = value
-            self.ties = [masks]
+            self.ties = [form]
         elif value == self.best:
-            self.ties.append(masks)
+            self.ties.append(form)
 
     def merge(self, other: "_IndexMax") -> None:
         if other.best > self.best:
@@ -305,32 +324,46 @@ class _Cell:
 
 
 def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
-    """Visit the row-sorted masks of part size ``p`` whose first row lies in
-    ``lo..hi-1``; returns per-(mode, c) cells weighted by orbit size.
+    """Classify the doubly lexical matrices of part size ``p`` whose first
+    row lies in ``lo..hi-1``; returns ``{(p, coloured form): (weight,
+    kappa, kappa_prime, M1, M2)}``, one entry per class.  The coloured form
+    is the graph6 of a member with part ``p`` first.
 
-    A depth-first walk places nondecreasing rows one level at a time and
-    carries the masks placed so far and the orbit size down the levels,
-    so a leaf only adds its last row.  Leaves come in lexicographic order,
-    which fixes the order of the tie lists.
+    Row ``i`` is the ``q``-bit int of its columns; column ``j`` is read
+    with row 0 as its most significant bit.  A depth-first walk places
+    nondecreasing rows and keeps columns nonincreasing: bit ``j`` of
+    ``tied`` is set while columns ``j`` and ``j + 1`` agree on the placed
+    rows, and a row that sets bit ``j + 1`` but not bit ``j`` of a tied
+    pair is pruned.  Column ``q - 1`` is then the least column, and it is
+    empty exactly when the last row is below ``2**(q-1)``.  Each class is
+    classified once and weighted by ``p! q! / |Aut|``, the number of
+    labeled matrices in it.
     """
     n, p, lo, hi = args
-    top = 1 << (n - p)
-    cells: dict[tuple[str, int], _Cell] = {}
+    q = n - p
+    top = 1 << q
+    full = (1 << n) - 1
+    colors = [0] * p + [1] * q
+    labelings = factorial(p) * factorial(q)
+    classes: dict[tuple[int, bytes], tuple] = {}
 
-    def walk(i: int, carried: list[int], rows: range, prev: int, weight: int, run: int) -> None:
-        # rows 0..i-1 are placed in ``carried``; the last ``run`` of them equal
-        # ``prev``, and ``weight`` = i! / prod(multiplicity!) counts their orderings
+    def walk(i: int, carried: list[int], rows: range, tied: int) -> None:
+        # rows 0..i-1 are placed in ``carried``
         for row in rows:
-            equal = run + 1 if row == prev else 1
-            orbit = weight * (i + 1) // equal
+            if row >> 1 & ~row & tied:
+                continue  # column j + 1 would pass column j
             if i < p - 1:
-                walk(i + 1, _place_row(carried, p, i, row), range(row, top), row, orbit, equal)
+                walk(i + 1, _place_row(carried, p, i, row), range(row, top), tied & ~(row ^ row >> 1))
                 continue
-            found = _classify(n, p, carried, row)
-            if found is None:
+            if row < top >> 1:
+                continue  # column q - 1 is empty
+            masks = _bipartite_masks(p, carried, row)
+            if not _connected_masks(masks, full):
                 continue
-            masks, degs, values = found
-            v1 = sum(d * d for d in degs)
+            form, aut = _canon_search(masks, n, colors)
+            if (p, form) in classes:
+                continue
+            degs, (kappa, kappa_p) = _connectivity(masks, n)
             v2 = 0
             for u in range(p):
                 mu = masks[u]
@@ -339,25 +372,29 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
                     v = (mu & -mu).bit_length() - 1
                     mu &= mu - 1
                     v2 += du * degs[v]
-            key = tuple(masks)
-            for mode, value in zip(MODES, values):
-                cell = cells.get((mode, value))
-                if cell is None:
-                    cell = cells[(mode, value)] = _Cell()
-                cell.count += orbit
-                cell.by_index["M1"].offer(v1, key)
-                cell.by_index["M2"].offer(v2, key)
+            classes[(p, form)] = (labelings // aut, kappa, kappa_p, sum(d * d for d in degs), v2)
 
-    walk(0, [0] * n, range(lo, hi), 0, 1, 0)  # first rows are nonzero, so prev = 0 starts no run
-    return cells
+    walk(0, [0] * n, range(lo, hi), (1 << (q - 1)) - 1)
+    return classes
 
 
 def _merge_cells(parts: list[dict]) -> dict:
-    merged: dict[tuple[str, int], _Cell] = {}
+    """Union the classes of all tasks, so a class found by two tasks counts
+    once, and total them into per-(mode, c) cells."""
+    classes: dict[tuple[int, bytes], tuple] = {}
     for part in parts:
-        for key, cell in part.items():
-            merged.setdefault(key, _Cell()).merge(cell)
-    return merged
+        for key, found in part.items():
+            classes.setdefault(key, found)
+    cells: dict[tuple[str, int], _Cell] = {}
+    for (_, form), (weight, kappa, kappa_p, v1, v2) in classes.items():
+        for mode, value in zip(MODES, (kappa, kappa_p)):
+            cell = cells.get((mode, value))
+            if cell is None:
+                cell = cells[(mode, value)] = _Cell()
+            cell.count += weight
+            cell.by_index["M1"].offer(v1, form)
+            cell.by_index["M2"].offer(v2, form)
+    return cells
 
 
 _sweep_cache: dict[int, dict] = {}
@@ -415,9 +452,9 @@ def _sweep(n: int, workers: int = 1) -> dict:
     return result
 
 
-def _dedup_isomorphic(ties: list[tuple[int, ...]]) -> list[str]:
-    """Sorted graph6 of the canonical forms of the tied neighbor-mask tuples."""
-    forms = {_canon_search(masks, len(masks), [0] * len(masks), None) for masks in ties}
+def _dedup_isomorphic(ties: list[bytes]) -> list[str]:
+    """Sorted graph6 of the canonical forms of the tied graphs, given as graph6."""
+    forms = {canonical_form(decode_graph6(tie)) for tie in ties}
     return sorted(form.decode("ascii") for form in forms)
 
 
@@ -548,7 +585,15 @@ def _twin_cell(masks: tuple[int, ...], members: list[int]) -> bool:
     return all_open or all_closed
 
 
-def _canon_search(masks: tuple[int, ...], n: int, colors: list[int], best: Optional[bytes]) -> bytes:
+def _canon_search(masks: tuple[int, ...], n: int, colors: list[int]) -> tuple[bytes, int]:
+    """Least encoding over the leaves of the search tree under ``colors``,
+    and the number of colour-preserving automorphisms.
+
+    A leaf's automorphism stabilizer permutes its twin cells freely, so it
+    has ``prod(size!)`` elements, and the leaves with the least encoding
+    form one automorphism orbit; the second value sums ``prod(size!)``
+    over them.
+    """
     colors = _refine(masks, n, colors)
     cells: dict[int, list[int]] = {}
     for v in range(n):
@@ -560,13 +605,20 @@ def _canon_search(masks: tuple[int, ...], n: int, colors: list[int], best: Optio
             target = members
             break
     if target is None:
-        enc = _pack_graph6(masks, sorted(range(n), key=lambda v: (colors[v], v)))
-        return enc if best is None or enc < best else best
+        aut = 1
+        for members in cells.values():
+            aut *= factorial(len(members))
+        return _pack_graph6(masks, sorted(range(n), key=lambda v: (colors[v], v))), aut
+    best = None
     for x in target:
         child = [c * 2 for c in colors]
         child[x] -= 1
-        best = _canon_search(masks, n, child, best)
-    return best
+        enc, aut = _canon_search(masks, n, child)
+        if best is None or enc < best:
+            best, total = enc, aut
+        elif enc == best:
+            total += aut
+    return best, total
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -578,4 +630,4 @@ def canonical_form(g: Graph) -> bytes:
     """
     if g.n > MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}")
-    return _canon_search(g.neighbor_masks, g.n, [0] * g.n, None)
+    return _canon_search(g.neighbor_masks, g.n, [0] * g.n)[0]

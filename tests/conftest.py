@@ -11,7 +11,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -33,6 +33,16 @@ def run_python(source: str, *argv: str, timeout: float = 60) -> subprocess.Compl
     return subprocess.run(
         [sys.executable, "-c", source, *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def row_and_column_class(rows: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """One key per class of 0/1 matrices under row and column permutations:
+    the least sorted row tuple over all permutations of the ``q`` columns
+    (row ``i`` is an int whose bit ``j`` is entry ``(i, j)``)."""
+    return min(
+        tuple(sorted(sum((row >> j & 1) << i for i, j in enumerate(perm)) for row in rows))
+        for perm in permutations(range(q))
     )
 
 

@@ -314,7 +314,7 @@ def test_saturated_graph_connectivity_is_cut_size_or_min_degree():
     # each class is a set of false twins, so a minimum cut takes classes whole:
     # kappa(H) = min(s_X + s_Y, delta(H))
     checked = 0
-    for n in range(2, 13):
+    for n in range(2, 15):
         for counts in _compositions(n, 6):
             s_x, s_y, l_x, l_y, r_x, r_y = counts
             # both sides nonempty, folded so that L <= R
@@ -324,4 +324,4 @@ def test_saturated_graph_connectivity_is_cut_size_or_min_degree():
             assert vertex_connectivity_value(g) == min(s_x + s_y, min_degree(g)), counts
             assert _blowup_indices(counts, SATURATED_JOINS) == (m1(g), m2(g)), counts
             checked += 1
-    assert checked == 6923
+    assert checked == 15372

@@ -2,12 +2,13 @@
 
 import itertools
 import random
-from functools import cache
+from functools import cache, reduce
 from math import comb, factorial
+from operator import or_
 
 import pytest
 
-from conftest import DEFAULT_SEED, random_graph, run_python
+from conftest import DEFAULT_SEED, random_graph, row_and_column_class, run_python
 from zex import (
     FamilyParams,
     Graph,
@@ -179,6 +180,17 @@ class TestWeightedSweep:
             report = search_max(SearchSpec(n, mode, 1, "M1"), at_least=True)
             assert report.graphs_enumerated == expected[n], n
 
+    def test_order10_class_totals_match_an_independent_count(self, monkeypatch):
+        # one order-10 sweep (about 3 s) serves both modes; the cache keeps only the latest order
+        import zex.search as search_module
+
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        expected = sum(_connected_spanning(p, 10 - p) for p in range(6))
+        assert expected == 34829977
+        for mode in ("vertex", "edge"):
+            report = search_max(SearchSpec(10, mode, 1, "M1"), at_least=True)
+            assert report.graphs_enumerated == expected, mode
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_maximizers_are_the_argmax_classes(self, n):
         for mode in ("vertex", "edge"):
@@ -281,21 +293,116 @@ def _flat_chunk(n, p, lo, hi):
     return cells
 
 
+def _flat_sweep(n):
+    """The flat walk over every sweep task, merged by max-with-tie-union."""
+    from zex.search import _sweep_tasks
+
+    merged = {}
+    for task in _sweep_tasks(n):
+        for key, (count, by_index) in _flat_chunk(*task).items():
+            cell = merged.setdefault(key, [0, {"M1": [-1, []], "M2": [-1, []]}])
+            cell[0] += count
+            for index, (best, ties) in by_index.items():
+                mine = cell[1][index]
+                if best > mine[0]:
+                    mine[:] = [best, []]
+                if best == mine[0]:
+                    mine[1].extend(ties)
+    return merged
+
+
+def _forms(n, ties):
+    """Canonical forms of the graphs given as neighbor-mask tuples."""
+    return {
+        canonical_form(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1]))
+        for masks in ties
+    }
+
+
 class TestSweepWalk:
-    """The depth-first sweep against the flat row-sorted walk it replaced."""
+    """The doubly lexical sweep against the flat row-sorted walk it replaced."""
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_every_task_matches_the_flat_walk(self, n):
+        # per-task output differs (a class may be found by several tasks), so
+        # compare the sweep merged over every task with the flat walk over every task
         import zex.search as search_module
 
-        tasks = search_module._sweep_tasks(n)
-        assert any(p == 1 for _, p, _, _ in tasks)  # no row below the first: a case of its own
-        for task in tasks:
-            got = {
-                key: [cell.count, {index: [m.best, m.ties] for index, m in cell.by_index.items()}]
-                for key, cell in search_module._sweep_chunk(task).items()
-            }
-            assert got == _flat_chunk(*task), task
+        assert any(p == 1 for _, p, _, _ in search_module._sweep_tasks(n))  # no row below the first
+        got = {
+            key: [
+                cell.count,
+                {
+                    index: [m.best, {canonical_form(decode_graph6(tie)) for tie in m.ties}]
+                    for index, m in cell.by_index.items()
+                },
+            ]
+            for key, cell in search_module._merge_cells(
+                [search_module._sweep_chunk(task) for task in search_module._sweep_tasks(n)]
+            ).items()
+        }
+        expected = {
+            key: [count, {index: [best, _forms(n, ties)] for index, (best, ties) in by_index.items()}]
+            for key, (count, by_index) in _flat_sweep(n).items()
+        }
+        assert got == expected
+
+    def test_walk_visits_every_row_and_column_class(self, monkeypatch):
+        # Lubiw: every 0/1 matrix has a doubly lexical row and column order, so every
+        # class of p x q matrices with no zero row or column has a visited member
+        import zex.search as search_module
+
+        visited = set()
+        decode = search_module._bipartite_masks
+
+        def record(p, carried, row):
+            masks = decode(p, carried, row)
+            q = len(masks) - p
+            visited.add((p, q, row_and_column_class(tuple(m >> p for m in masks[:p]), q)))
+            return masks
+
+        monkeypatch.setattr(search_module, "_bipartite_masks", record)
+        for n in range(2, 8):
+            for task in search_module._sweep_tasks(n):
+                search_module._sweep_chunk(task)
+        expected = set()
+        for n in range(2, 8):
+            for p in range(1, n // 2 + 1):
+                q = n - p
+                for rows in itertools.combinations_with_replacement(range(1, 1 << q), p):
+                    if reduce(or_, rows) == (1 << q) - 1:
+                        expected.add((p, q, row_and_column_class(rows, q)))
+        assert len(expected) == 92  # networkx part-preserving isomorphism agrees
+        assert visited == expected
+
+    def test_automorphisms_from_the_leaf_count(self):
+        # |Aut| = the (sigma, tau) row and column permutations with sigma M tau = M,
+        # counted by brute force on every p x q matrix with no zero row or column
+        from zex.search import _canon_search
+
+        checked = 0
+        for n in range(2, 8):
+            for p in range(1, n // 2 + 1):
+                q = n - p
+                col_perms = [
+                    [sum((row >> j & 1) << i for i, j in enumerate(perm)) for row in range(1 << q)]
+                    for perm in itertools.permutations(range(q))
+                ]
+                row_perms = list(itertools.permutations(range(p)))
+                for rows in itertools.product(range(1, 1 << q), repeat=p):
+                    if reduce(or_, rows) != (1 << q) - 1:
+                        continue
+                    pairs = sum(
+                        all(table[rows[sigma[i]]] == rows[i] for i in range(p))
+                        for table in col_perms
+                        for sigma in row_perms
+                    )
+                    masks = [row << p for row in rows] + [
+                        sum((rows[i] >> j & 1) << i for i in range(p)) for j in range(q)
+                    ]
+                    assert _canon_search(masks, n, [0] * p + [1] * q)[1] == pairs, (p, rows)
+                    checked += 1
+        assert checked == 2784  # sum over (i, j) of (-1)^(i+j) C(p,i) C(q,j) 2^((p-i)(q-j))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_tasks_cover_every_first_row_once(self, n):

@@ -7,10 +7,12 @@ import importlib.util
 import os
 import subprocess
 import sys
-from math import comb
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+
+from conftest import row_and_column_class
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -48,6 +50,22 @@ def run_traced(trace_dir, *zex_argv):
     return load_tracer().merge(str(trace_dir))
 
 
+def _connected(rows, p, q):
+    """Whether the bipartite graph with these rows is connected, by a plain search."""
+    seen, todo = {0}, [0]
+    while todo:
+        v = todo.pop()
+        if v < p:
+            nbrs = [p + j for j in range(q) if rows[v] >> j & 1]
+        else:
+            nbrs = [i for i in range(p) if rows[i] >> (v - p) & 1]
+        for w in nbrs:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == p + q
+
+
 def test_traced_sweep_counts_every_kernel(tmp_path):
     from zex.search import _sweep_tasks
 
@@ -57,15 +75,33 @@ def test_traced_sweep_counts_every_kernel(tmp_path):
     def calls(name):
         return stats[name][0]
 
-    # order 7 is the first whose sweep needs the edge kernel (kappa < delta);
-    # its row-sorted masks are the multisets of p nonzero rows of 7 - p bits
-    scanned = sum(comb((1 << (7 - p)) - 1 + p - 1, p) for p in range(1, 4))
-    isolated = results["search._bipartite_masks"].get("isolated", 0)
-    disconnected = results["search._connected_masks"].get("disconnected", 0)
-    assert calls("search._sweep_chunk") == len(_sweep_tasks(7))
-    assert calls("search._bipartite_masks") == scanned
-    assert calls("search._connected_masks") == scanned - isolated
-    assert calls("search._kappa_masks") == scanned - isolated - disconnected
+    # order 7 is the first whose sweep needs the edge kernel (kappa < delta). The walk
+    # visits the row-sorted tuples (nondecreasing nonzero rows of q = 7 - p bits) whose
+    # columns, read with row 0 as the high bit, are nonincreasing and nonzero, and it
+    # classifies one tuple per connected class of each task
+    leaves = connected = classes = 0
+    tasks = _sweep_tasks(7)
+    for n, p, lo, hi in tasks:
+        q = n - p
+        seen = set()
+        for first in range(lo, hi):
+            for rest in combinations_with_replacement(range(first, 1 << q), p - 1):
+                rows = (first, *rest)
+                cols = [sum((row >> j & 1) << (p - 1 - i) for i, row in enumerate(rows)) for j in range(q)]
+                if cols != sorted(cols, reverse=True) or cols[-1] == 0:
+                    continue
+                leaves += 1
+                if _connected(rows, p, q):
+                    connected += 1
+                    seen.add(row_and_column_class(rows, q))
+        classes += len(seen)
+    assert (leaves, connected, classes) == (90, 65, 44)
+    assert calls("search._sweep_chunk") == len(tasks)
+    assert calls("search._bipartite_masks") == leaves
+    assert results["search._bipartite_masks"].get("isolated", 0) == 0
+    assert calls("search._connected_masks") == leaves
+    assert results["search._connected_masks"].get("disconnected", 0) == leaves - connected
+    assert calls("search._kappa_masks") == classes
     assert 0 < calls("search._kappa_prime_masks") < calls("search._kappa_masks")
     for name in ("search._dedup_isomorphic", "search.canonical_form",
                  "families.predicted_extremal", "graphs.m1", "graphs.m2", "cli.cmd_verify"):
