@@ -25,22 +25,25 @@ Comput. 1987), so the sweep walks only such doubly lexical matrices.
 It places nondecreasing nonzero rows depth first, carries the placed
 masks down the rows, and prunes a prefix as soon as two column prefixes
 are out of order (columns are read with row 0 as the high bit, so a
-prefix decides a column pair for good).  A connected leaf gets a
-part-coloured canonical form (``_canon_search`` from colours
-``[0]*p + [1]*q``); each new class is classified once and weighted by
-``p! q! / |Aut|``, the number of labeled patterns in it, where ``|Aut|``
-comes from the same canonical search.  Class sizes
-(``graphs_enumerated``), maxima and maximizer classes are therefore
-exactly those of the labeled enumeration.  Only the final ties are
-canonicalized without colours; each maximizer is reported as the graph6
-of its canonical form, sorted.
+prefix decides a column pair for good).  A connected leaf gets a class
+key (``_class_key``) under row and column permutations: over every order
+of the rows by nondecreasing degree, any order within a degree, the
+least sorted tuple of the relabeled columns.  Each new class is
+classified once and weighted by ``p! q! / |Aut|``, the number of labeled
+patterns in it, where ``|Aut|`` is the number of row orders that reach
+the key times the product of ``multiplicity!`` over the distinct
+columns.  Class sizes (``graphs_enumerated``), maxima and maximizer
+classes are therefore exactly those of the labeled enumeration.  Only
+the final ties are canonicalized; each maximizer is reported as the
+graph6 of its canonical form, sorted.
 
 The sweep of the latest order is cached and shared by all (mode, value,
-index) cells.  It is split into tasks ``(n, p, lo, hi)``, first-row
-ranges that worker processes run independently (a failing task raises
-``SweepTaskError`` naming it).  Each task returns its classes keyed by
-``(p, coloured form)``; ``_merge_cells`` unions them in task order, so a
-class found by two tasks counts once, and totals them into cells with a
+index) cells.  It is split into tasks ``(n, p, lo, hi)``, ranges of the
+first rows the walk can place, that worker processes run independently
+(a failing task raises ``SweepTaskError`` naming it).  Each task returns
+its classes keyed by ``(p, key)``, with the graph6 of one member;
+``_merge_cells`` unions them in task order, so a class found by two
+tasks counts once, and totals them into cells with a
 max-with-tie-union, so reports do not depend on the worker count.
 
 Also here: brute-force connectivity (the independent cross-check for the
@@ -49,18 +52,17 @@ canonical form used to deduplicate maximizers.
 
 Scale caps: full sweeps support ``n <= 10``; the canonical form supports
 ``n <= 16``.  A serial sweep of orders 6-9 (3,314 doubly lexical
-patterns) takes about 0.3 s and one of order 10 (28,619 patterns) about
-3 s, in one process on a 2-CPU x86-64 VM with Python 3.11; most of it is
-the canonical search.
+patterns) takes about 0.07 s and one of order 10 (28,619 patterns)
+about 0.8 s, in one process on a 2-CPU x86-64 VM with Python 3.11.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Iterator, Optional
 
@@ -295,7 +297,7 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
 @dataclass
 class _IndexMax:
     best: int = -1
-    ties: list[bytes] = field(default_factory=list)  # part-coloured forms of current maximizers
+    ties: list[bytes] = field(default_factory=list)  # graph6 of one member per maximizer class
 
     def offer(self, value: int, form: bytes) -> None:
         if value > self.best:
@@ -323,11 +325,57 @@ class _Cell:
             self.by_index[idx].merge(other.by_index[idx])
 
 
+@cache
+def _relabel_table(order: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry ``col`` is the column ``col`` (a ``len(order)``-bit int) with
+    bit ``order[t]`` moved to bit ``t``."""
+    return tuple(sum((col >> v & 1) << t for t, v in enumerate(order)) for col in range(1 << len(order)))
+
+
+@cache
+def _row_tables(degrees: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The ``_relabel_table`` of every order of the rows by nondecreasing
+    ``degrees``, in any order within a degree."""
+    groups = [[i for i, d in enumerate(degrees) if d == value] for value in sorted(set(degrees))]
+    return tuple(_relabel_table(sum(parts, ())) for parts in product(*map(permutations, groups)))
+
+
+def _class_key(masks: list[int], p: int) -> tuple[tuple[int, ...], int]:
+    """``(key, |Aut|)`` of the ``p x q`` 0/1 matrix whose rows are the
+    neighbor bitmasks ``masks[:p]`` and whose columns are ``masks[p:]``
+    (``p``-bit ints, row ``i`` as bit ``i``), under row and column
+    permutations.
+
+    The key is the least sorted column tuple over the row orders of
+    ``_row_tables``.  Permuting the matrix permutes those orders, so the
+    key is a class invariant, and equal keys mean one class.  A row
+    permutation that fixes the column multiset fixes the row degrees, so
+    the orders that reach the key are one coset of those permutations;
+    each of them fixes the matrix with ``prod(multiplicity!)`` column
+    permutations, so ``|Aut|`` is their number times that product over
+    the distinct columns.
+    """
+    cols = masks[p:]
+    best = None
+    for table in _row_tables(tuple(m.bit_count() for m in masks[:p])):
+        key = sorted(map(table.__getitem__, cols))
+        if best is None or key < best:
+            best, hits = key, 1
+        elif key == best:
+            hits += 1
+    aut = hits
+    run = 1
+    for prev, col in zip(best, best[1:]):
+        run = run + 1 if col == prev else 1
+        aut *= run
+    return tuple(best), aut
+
+
 def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
     """Classify the doubly lexical matrices of part size ``p`` whose first
-    row lies in ``lo..hi-1``; returns ``{(p, coloured form): (weight,
-    kappa, kappa_prime, M1, M2)}``, one entry per class.  The coloured form
-    is the graph6 of a member with part ``p`` first.
+    row lies in ``lo..hi-1``; returns ``{(p, key): (weight, kappa,
+    kappa_prime, M1, M2, graph6)}``, one entry per class, keyed by
+    ``_class_key`` and with the graph6 of one member.
 
     Row ``i`` is the ``q``-bit int of its columns; column ``j`` is read
     with row 0 as its most significant bit.  A depth-first walk places
@@ -343,9 +391,8 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
     q = n - p
     top = 1 << q
     full = (1 << n) - 1
-    colors = [0] * p + [1] * q
     labelings = factorial(p) * factorial(q)
-    classes: dict[tuple[int, bytes], tuple] = {}
+    classes: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def walk(i: int, carried: list[int], rows: range, tied: int) -> None:
         # rows 0..i-1 are placed in ``carried``
@@ -360,8 +407,8 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
             masks = _bipartite_masks(p, carried, row)
             if not _connected_masks(masks, full):
                 continue
-            form, aut = _canon_search(masks, n, colors)
-            if (p, form) in classes:
+            key, aut = _class_key(masks, p)
+            if (p, key) in classes:
                 continue
             degs, (kappa, kappa_p) = _connectivity(masks, n)
             v2 = 0
@@ -372,7 +419,9 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
                     v = (mu & -mu).bit_length() - 1
                     mu &= mu - 1
                     v2 += du * degs[v]
-            classes[(p, form)] = (labelings // aut, kappa, kappa_p, sum(d * d for d in degs), v2)
+            classes[(p, key)] = (
+                labelings // aut, kappa, kappa_p, sum(d * d for d in degs), v2, _pack_graph6(masks, range(n))
+            )
 
     walk(0, [0] * n, range(lo, hi), (1 << (q - 1)) - 1)
     return classes
@@ -381,19 +430,19 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
 def _merge_cells(parts: list[dict]) -> dict:
     """Union the classes of all tasks, so a class found by two tasks counts
     once, and total them into per-(mode, c) cells."""
-    classes: dict[tuple[int, bytes], tuple] = {}
+    classes: dict[tuple[int, tuple[int, ...]], tuple] = {}
     for part in parts:
         for key, found in part.items():
             classes.setdefault(key, found)
     cells: dict[tuple[str, int], _Cell] = {}
-    for (_, form), (weight, kappa, kappa_p, v1, v2) in classes.items():
+    for weight, kappa, kappa_p, v1, v2, g6 in classes.values():
         for mode, value in zip(MODES, (kappa, kappa_p)):
             cell = cells.get((mode, value))
             if cell is None:
                 cell = cells[(mode, value)] = _Cell()
             cell.count += weight
-            cell.by_index["M1"].offer(v1, form)
-            cell.by_index["M2"].offer(v2, form)
+            cell.by_index["M1"].offer(v1, g6)
+            cell.by_index["M2"].offer(v2, g6)
     return cells
 
 
@@ -402,19 +451,22 @@ _CHUNK_BITS = 12
 
 
 def _sweep_tasks(n: int) -> list[tuple[int, int, int, int]]:
-    """Split the row-sorted masks of order ``n`` into ``(n, p, lo, hi)``
-    first-row ranges of about ``2**_CHUNK_BITS`` masks each."""
+    """Split the first rows the walk can place into ``(n, p, lo, hi)``
+    ranges of about ``2**_CHUNK_BITS`` row-sorted masks each.  Columns are
+    nonincreasing with row 0 as their high bit, so the first row is
+    ``2**k - 1`` for some ``k``; the ranges start and end on such rows, and
+    the rows between two ranges reach no leaf."""
     tasks = []
     for p in range(1, n // 2 + 1):
         top = 1 << (n - p)
         lo = 1
         size = 0
-        for first in range(1, top):
+        for first in (2**k - 1 for k in range(1, n - p + 1)):
             # row-sorted masks whose first row is ``first``
             size += comb(top - first + p - 2, p - 1)
             if size >= 1 << _CHUNK_BITS or first == top - 1:
                 tasks.append((n, p, lo, first + 1))
-                lo = first + 1
+                lo = 2 * first + 1  # the next first row of the form 2**k - 1
                 size = 0
     return tasks
 
@@ -442,6 +494,8 @@ def _sweep(n: int, workers: int = 1) -> dict:
     tasks = _sweep_tasks(n)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_task, tasks))
     else:
@@ -585,15 +639,8 @@ def _twin_cell(masks: tuple[int, ...], members: list[int]) -> bool:
     return all_open or all_closed
 
 
-def _canon_search(masks: tuple[int, ...], n: int, colors: list[int]) -> tuple[bytes, int]:
-    """Least encoding over the leaves of the search tree under ``colors``,
-    and the number of colour-preserving automorphisms.
-
-    A leaf's automorphism stabilizer permutes its twin cells freely, so it
-    has ``prod(size!)`` elements, and the leaves with the least encoding
-    form one automorphism orbit; the second value sums ``prod(size!)``
-    over them.
-    """
+def _canon_search(masks: tuple[int, ...], n: int, colors: list[int]) -> bytes:
+    """Least encoding over the leaves of the search tree under ``colors``."""
     colors = _refine(masks, n, colors)
     cells: dict[int, list[int]] = {}
     for v in range(n):
@@ -605,20 +652,15 @@ def _canon_search(masks: tuple[int, ...], n: int, colors: list[int]) -> tuple[by
             target = members
             break
     if target is None:
-        aut = 1
-        for members in cells.values():
-            aut *= factorial(len(members))
-        return _pack_graph6(masks, sorted(range(n), key=lambda v: (colors[v], v))), aut
+        return _pack_graph6(masks, sorted(range(n), key=lambda v: (colors[v], v)))
     best = None
     for x in target:
         child = [c * 2 for c in colors]
         child[x] -= 1
-        enc, aut = _canon_search(masks, n, child)
+        enc = _canon_search(masks, n, child)
         if best is None or enc < best:
-            best, total = enc, aut
-        elif enc == best:
-            total += aut
-    return best, total
+            best = enc
+    return best
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -630,4 +672,4 @@ def canonical_form(g: Graph) -> bytes:
     """
     if g.n > MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}")
-    return _canon_search(g.neighbor_masks, g.n, [0] * g.n)[0]
+    return _canon_search(g.neighbor_masks, g.n, [0] * g.n)

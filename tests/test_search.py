@@ -375,53 +375,115 @@ class TestSweepWalk:
         assert len(expected) == 92  # networkx part-preserving isomorphism agrees
         assert visited == expected
 
-    def test_automorphisms_from_the_leaf_count(self):
+    def test_automorphisms_from_the_class_key(self):
         # |Aut| = the (sigma, tau) row and column permutations with sigma M tau = M,
         # counted by brute force on every p x q matrix with no zero row or column
-        from zex.search import _canon_search
+        from zex.search import _class_key
 
         checked = 0
-        for n in range(2, 8):
-            for p in range(1, n // 2 + 1):
-                q = n - p
-                col_perms = [
-                    [sum((row >> j & 1) << i for i, j in enumerate(perm)) for row in range(1 << q)]
-                    for perm in itertools.permutations(range(q))
-                ]
-                row_perms = list(itertools.permutations(range(p)))
-                for rows in itertools.product(range(1, 1 << q), repeat=p):
-                    if reduce(or_, rows) != (1 << q) - 1:
-                        continue
-                    pairs = sum(
-                        all(table[rows[sigma[i]]] == rows[i] for i in range(p))
-                        for table in col_perms
-                        for sigma in row_perms
-                    )
-                    masks = [row << p for row in rows] + [
-                        sum((rows[i] >> j & 1) << i for i in range(p)) for j in range(q)
-                    ]
-                    assert _canon_search(masks, n, [0] * p + [1] * q)[1] == pairs, (p, rows)
-                    checked += 1
+        for p, q, rows in _matrices_without_zero_lines(7):
+            col_perms = _column_tables(q)
+            pairs = sum(
+                all(table[rows[sigma[i]]] == rows[i] for i in range(p))
+                for table in col_perms
+                for sigma in itertools.permutations(range(p))
+            )
+            assert _class_key(_masks_of(rows, q), p)[1] == pairs, (p, rows)
+            checked += 1
         assert checked == 2784  # sum over (i, j) of (-1)^(i+j) C(p,i) C(q,j) 2^((p-i)(q-j))
+
+    def test_class_keys_are_the_row_and_column_classes(self):
+        from zex.search import _class_key
+
+        pairs = {
+            ((p, q, _class_key(_masks_of(rows, q), p)[0]), (p, q, row_and_column_class(rows, q)))
+            for p, q, rows in _matrices_without_zero_lines(7)
+        }
+        keys = {key for key, _ in pairs}
+        classes = {cls for _, cls in pairs}
+        assert len(classes) == 92
+        assert len(keys) == len(pairs) == len(classes)  # one key per class and one class per key
+
+    def test_class_key_is_invariant_beyond_order_7(self):
+        # p = 4-5 rows, which no sweep of order <= 7 reaches: the key and |Aut| survive
+        # random row and column permutations, and |Aut| = the column permutations tau
+        # that fix the row multiset, times the row permutations of each repeated row
+        from zex.search import _class_key
+
+        rng = random.Random(DEFAULT_SEED)
+        for p in (4, 5):
+            for q in range(p, 8):
+                for _ in range(3):
+                    pool = [rng.randrange(1, 1 << q) for _ in range(rng.randint(1, p))]
+                    rows = tuple(rng.choice(pool) for _ in range(p))
+                    key, aut = _class_key(_masks_of(rows, q), p)
+                    for _ in range(50):
+                        sigma = rng.sample(range(p), p)
+                        tau = rng.sample(range(q), q)
+                        moved = tuple(
+                            sum((rows[sigma[i]] >> tau[j] & 1) << j for j in range(q)) for i in range(p)
+                        )
+                        assert _class_key(_masks_of(moved, q), p) == (key, aut), (p, rows, moved)
+                    fixed = 0
+                    for table in _column_tables(q):
+                        if sorted(table[row] for row in rows) == sorted(rows):
+                            fixed += 1
+                    for _, run in itertools.groupby(sorted(rows)):
+                        fixed *= factorial(len(list(run)))
+                    assert aut == fixed, (p, rows)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_tasks_cover_every_first_row_once(self, n):
+        # row 0 of a doubly lexical matrix is 2^k - 1: every such row is in one task,
+        # and the first rows between the tasks reach no class
         import zex.search as search_module
 
         tasks = search_module._sweep_tasks(n)
         for p in range(1, n // 2 + 1):
             top = 1 << (n - p)
-            ranges = [(lo, hi) for tn, tp, lo, hi in tasks if (tn, tp) == (n, p)]
-            firsts = [first for lo, hi in ranges for first in range(lo, hi)]
-            assert firsts == list(range(1, top)), p
-            sizes = [sum(comb(top - first + p - 2, p - 1) for first in range(lo, hi)) for lo, hi in ranges]
-            assert sum(sizes) == comb(top - 1 + p - 1, p), p
+            covered = [first for tn, tp, lo, hi in tasks if (tn, tp) == (n, p) for first in range(lo, hi)]
+            assert len(covered) == len(set(covered)), p
+            assert [first for first in covered if first & (first + 1) == 0] == [
+                2**k - 1 for k in range(1, n - p + 1)
+            ], p
+            if n < 10:
+                skipped = sorted(set(range(1, top)) - set(covered))
+                for _, run in itertools.groupby(enumerate(skipped), lambda pair: pair[1] - pair[0]):
+                    firsts = [first for _, first in run]
+                    assert search_module._sweep_chunk((n, p, firsts[0], firsts[-1] + 1)) == {}, (p, firsts)
         assert {tp for _, tp, _, _ in tasks} == set(range(1, n // 2 + 1))
 
 
+def _matrices_without_zero_lines(max_order):
+    """``(p, q, rows)`` for every p x q matrix with p <= q, p + q <= max_order and
+    no zero row or column; row ``i`` is an int whose bit ``j`` is entry ``(i, j)``."""
+    for n in range(2, max_order + 1):
+        for p in range(1, n // 2 + 1):
+            q = n - p
+            for rows in itertools.product(range(1, 1 << q), repeat=p):
+                if reduce(or_, rows) == (1 << q) - 1:
+                    yield p, q, rows
+
+
+@cache
+def _column_tables(q):
+    """One table per permutation of ``q`` columns, mapping each row to the permuted row."""
+    return [
+        [sum((row >> j & 1) << i for i, j in enumerate(perm)) for row in range(1 << q)]
+        for perm in itertools.permutations(range(q))
+    ]
+
+
+def _masks_of(rows, q):
+    """Neighbor bitmasks of the bipartite graph with these rows, part ``len(rows)`` first."""
+    p = len(rows)
+    return [row << p for row in rows] + [sum((rows[i] >> j & 1) << i for i in range(p)) for j in range(q)]
+
+
 class TestPoolSize:
-    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 5)])
+    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 7)])
     def test_workers_bounded_by_cpus_and_tasks(self, monkeypatch, cpus, expected):
+        import concurrent.futures
         import os
 
         import zex.search as search_module
@@ -441,22 +503,32 @@ class TestPoolSize:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(search_module, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(search_module, "_sweep_cache", {})
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert len(search_module._sweep_tasks(8)) == 5
-        search_module._sweep(8, workers=10_000)
+        assert len(search_module._sweep_tasks(9)) == 7
+        search_module._sweep(9, workers=10_000)
         assert started == [expected]
 
     def test_single_worker_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
         import zex.search as search_module
 
         def refuse(*args, **kwargs):
             raise AssertionError("no pool expected")
 
-        monkeypatch.setattr(search_module, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(search_module, "_sweep_cache", {})
         search_module._sweep(6, workers=1)
+
+    def test_importing_the_cli_loads_no_pool(self):
+        done = run_python(
+            "import sys, zex.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestSweepCache:
@@ -484,12 +556,14 @@ class TestSweepTaskError:
         return search_module
 
     def test_serial_failure_names_the_task(self, monkeypatch):
+        import concurrent.futures
+
         search_module = self._break_chunks(monkeypatch)
 
         def refuse(*args, **kwargs):
             raise AssertionError("no pool expected")
 
-        monkeypatch.setattr(search_module, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         first = search_module._sweep_tasks(6)[0]
         with pytest.raises(search_module.SweepTaskError) as exc:
             search_module._sweep(6, workers=1)
@@ -498,6 +572,8 @@ class TestSweepTaskError:
         )
 
     def test_pooled_path_wraps_the_same_way(self, monkeypatch):
+        import concurrent.futures
+
         search_module = self._break_chunks(monkeypatch)
 
         class InlinePool:
@@ -513,7 +589,7 @@ class TestSweepTaskError:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
         with pytest.raises(search_module.SweepTaskError, match=r"\(6, 1, 1, 32\)"):
             search_module._sweep(6, workers=2)
