@@ -27,8 +27,10 @@ below the best value found.
 Witnesses are the lexicographically smallest minimum cuts, found
 greedily: a vertex (edge) joins the kept set F when removing it leaves
 connectivity exactly kappa - |F| - 1; removing any set T leaves at least
-kappa - |T|.  The vertex greedy keeps one flow per Even pair: s among the
-first kappa + 1 vertices and a later non-neighbor t.  If G - F - v has a
+kappa - |T|.  When kappa = 1 the vertex witness is the first cut vertex,
+found with one reachability search per candidate.  Otherwise the vertex
+greedy keeps one flow per Even pair: s among the first kappa + 1
+vertices and a later non-neighbor t.  If G - F - v has a
 cut S' of size kappa - |F| - 1, then F + v + S' has at most kappa
 vertices, so by Even's rule it separates such a pair whose source ranks
 below kappa - |F| among the live vertices of G - F - v; the pairs
@@ -263,6 +265,13 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     (none for a complete graph, which has no non-adjacent pair)."""
     masks = g.neighbor_masks
     full = (1 << g.n) - 1
+    if kappa == 1:
+        # the cut is one cut vertex: the first whose removal disconnects g, no flow needed
+        for v in range(g.n):
+            alive = full ^ 1 << v
+            if _reach(masks, alive & -alive, alive) != alive:
+                return (v,)
+        return ()
     split = _split(masks)
     # Even's pairs; each carries its kept flow as paths and their inner-vertex bitmask
     pairs = [

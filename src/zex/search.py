@@ -25,25 +25,31 @@ Comput. 1987), so the sweep walks only such doubly lexical matrices.
 It places nondecreasing nonzero rows depth first, carries the placed
 masks down the rows, and prunes a prefix as soon as two column prefixes
 are out of order (columns are read with row 0 as the high bit, so a
-prefix decides a column pair for good).  A connected leaf gets a class
-key (``_class_key``) under row and column permutations: over every order
-of the rows by nondecreasing degree, any order within a degree, the
-least sorted tuple of the relabeled columns.  Each new class is
-classified once and weighted by ``p! q! / |Aut|``, the number of labeled
-patterns in it, where ``|Aut|`` is the number of row orders that reach
-the key times the product of ``multiplicity!`` over the distinct
-columns.  Class sizes (``graphs_enumerated``), maxima and maximizer
-classes are therefore exactly those of the labeled enumeration.  Only
-the final ties are canonicalized; each maximizer is reported as the
-graph6 of its canonical form, sorted.
+prefix decides a column pair for good).  It also carries the column sets
+of the components that the placed rows span, so a leaf is connected iff
+its last row meets every one of them and together they cover all
+columns (``_connected_masks``).  A connected leaf gets a class key
+(``_class_key``) under row and column permutations: over every order of
+the rows by nondecreasing degree, any order within a degree, the least
+sorted tuple of the relabeled columns.  Each new class is classified
+once and weighted by ``p! q! / |Aut|``, the number of labeled patterns
+in it, where ``|Aut|`` is the number of row orders that reach the key
+times the product of ``multiplicity!`` over the distinct columns.  Class
+sizes (``graphs_enumerated``), maxima and maximizer classes are
+therefore exactly those of the labeled enumeration.  A class keeps the
+neighbor masks of one member.  Only the final ties and the predicted
+graphs are canonicalized, each distinct graph once per order (a memo by
+neighbor masks, cleared with the sweep cache); each maximizer is
+reported as the graph6 of its canonical form, sorted.
 
 The sweep of the latest order is cached and shared by all (mode, value,
 index) cells.  It is split into tasks ``(n, p, lo, hi)``, ranges of the
-first rows the walk can place, that worker processes run independently
-(a failing task raises ``SweepTaskError`` naming it).  Each task returns
-its classes keyed by ``(p, key)``, with the graph6 of one member;
-``_merge_cells`` unions them in task order, so a class found by two
-tasks counts once, and totals them into cells with a
+first rows the walk can place (a failing task raises ``SweepTaskError``
+naming it).  A serial sweep passes one class table through every task,
+so a class that several tasks meet is classified once.  Worker processes
+run the tasks independently, each into its own table, and
+``_merge_cells`` unions the tables in task order, so a class found by
+two tasks counts once; it totals the classes into cells with a
 max-with-tie-union, so reports do not depend on the worker count.
 
 Also here: brute-force connectivity (the independent cross-check for the
@@ -52,8 +58,10 @@ canonical form used to deduplicate maximizers.
 
 Scale caps: full sweeps support ``n <= 10``; the canonical form supports
 ``n <= 16``.  A serial sweep of orders 6-9 (3,314 doubly lexical
-patterns) takes about 0.07 s and one of order 10 (28,619 patterns)
-about 0.8 s, in one process on a 2-CPU x86-64 VM with Python 3.11.
+patterns, 1,033 classes) takes about 0.05 s and one of order 10 (28,619
+patterns) about 0.4-0.6 s, in one process on a 2-CPU x86-64 VM with
+Python 3.11.  Order 11, run through its tasks with one class table,
+takes about 3-4 s.
 """
 
 from __future__ import annotations
@@ -76,7 +84,6 @@ from .graphs import (
     _pack_graph6,
     _reach,
     connected_components,
-    decode_graph6,
     encode_graph6,
     index_value,
     is_connected,
@@ -149,8 +156,25 @@ class SearchReport:
 
 # -- bitmask primitives -------------------------------------------------------
 
-def _connected_masks(masks: list[int], full: int) -> bool:
-    return _reach(masks, full & -full, full) == full
+def _join(parts: tuple[int, ...], row: int) -> tuple[int, ...]:
+    """The column sets of the components once ``row`` is placed: ``row`` and
+    every part it meets merge into one."""
+    merged = row
+    rest = []
+    for part in parts:
+        if part & row:
+            merged |= part
+        else:
+            rest.append(part)
+    rest.append(merged)
+    return tuple(rest)
+
+
+def _connected_masks(parts: tuple[int, ...], row: int, columns: int) -> bool:
+    """Whether the bipartite graph is connected, given ``parts``, the column
+    sets of the components spanned by its other rows, and its last ``row``:
+    the row must meet every part, and together they must cover ``columns``."""
+    return _join(parts, row) == (columns,)
 
 
 def _vertex_cuts(masks: list[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -235,7 +259,8 @@ def _classify(n: int, p: int, carried: list[int], row: int) -> Optional[tuple]:
     decoded by ``_bipartite_masks``, or None when it has an isolated vertex
     or is disconnected."""
     masks = _bipartite_masks(p, carried, row)
-    if masks is None or not _connected_masks(masks, (1 << n) - 1):
+    full = (1 << n) - 1
+    if masks is None or _reach(masks, 1, full) != full:
         return None
     return (masks, *_connectivity(masks, n))
 
@@ -297,14 +322,15 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
 @dataclass
 class _IndexMax:
     best: int = -1
-    ties: list[bytes] = field(default_factory=list)  # graph6 of one member per maximizer class
+    # the neighbor masks of one member per maximizer class, canonicalized only in the end
+    ties: list[tuple[int, ...]] = field(default_factory=list)
 
-    def offer(self, value: int, form: bytes) -> None:
+    def offer(self, value: int, masks: tuple[int, ...]) -> None:
         if value > self.best:
             self.best = value
-            self.ties = [form]
+            self.ties = [masks]
         elif value == self.best:
-            self.ties.append(form)
+            self.ties.append(masks)
 
     def merge(self, other: "_IndexMax") -> None:
         if other.best > self.best:
@@ -371,11 +397,13 @@ def _class_key(masks: list[int], p: int) -> tuple[tuple[int, ...], int]:
     return tuple(best), aut
 
 
-def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
+def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None) -> dict:
     """Classify the doubly lexical matrices of part size ``p`` whose first
-    row lies in ``lo..hi-1``; returns ``{(p, key): (weight, kappa,
-    kappa_prime, M1, M2, graph6)}``, one entry per class, keyed by
-    ``_class_key`` and with the graph6 of one member.
+    row lies in ``lo..hi-1`` into ``classes`` (a new table by default) and
+    return it: ``{(p, key): (weight, kappa, kappa_prime, M1, M2, masks)}``,
+    one entry per class, keyed by ``_class_key`` and with the neighbor
+    masks of one member.  A class already in the table is not classified
+    again.
 
     Row ``i`` is the ``q``-bit int of its columns; column ``j`` is read
     with row 0 as its most significant bit.  A depth-first walk places
@@ -383,29 +411,34 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
     ``tied`` is set while columns ``j`` and ``j + 1`` agree on the placed
     rows, and a row that sets bit ``j + 1`` but not bit ``j`` of a tied
     pair is pruned.  Column ``q - 1`` is then the least column, and it is
-    empty exactly when the last row is below ``2**(q-1)``.  Each class is
-    classified once and weighted by ``p! q! / |Aut|``, the number of
-    labeled matrices in it.
+    empty exactly when the last row is below ``2**(q-1)``.  The walk also
+    carries the column sets of the components spanned by the placed rows
+    (``_join``), so a leaf's connectedness is one pass over them.  Each
+    class is classified once and weighted by ``p! q! / |Aut|``, the number
+    of labeled matrices in it.
     """
     n, p, lo, hi = args
     q = n - p
     top = 1 << q
-    full = (1 << n) - 1
     labelings = factorial(p) * factorial(q)
-    classes: dict[tuple[int, tuple[int, ...]], tuple] = {}
+    if classes is None:
+        classes = {}
 
-    def walk(i: int, carried: list[int], rows: range, tied: int) -> None:
-        # rows 0..i-1 are placed in ``carried``
+    def walk(i: int, carried: list[int], parts: tuple[int, ...], rows: range, tied: int) -> None:
+        # rows 0..i-1 are placed in ``carried``, and their components span ``parts``
         for row in rows:
             if row >> 1 & ~row & tied:
                 continue  # column j + 1 would pass column j
             if i < p - 1:
-                walk(i + 1, _place_row(carried, p, i, row), range(row, top), tied & ~(row ^ row >> 1))
+                walk(
+                    i + 1, _place_row(carried, p, i, row), _join(parts, row), range(row, top),
+                    tied & ~(row ^ row >> 1),
+                )
                 continue
             if row < top >> 1:
                 continue  # column q - 1 is empty
             masks = _bipartite_masks(p, carried, row)
-            if not _connected_masks(masks, full):
+            if not _connected_masks(parts, row, top - 1):
                 continue
             key, aut = _class_key(masks, p)
             if (p, key) in classes:
@@ -419,11 +452,9 @@ def _sweep_chunk(args: tuple[int, int, int, int]) -> dict:
                     v = (mu & -mu).bit_length() - 1
                     mu &= mu - 1
                     v2 += du * degs[v]
-            classes[(p, key)] = (
-                labelings // aut, kappa, kappa_p, sum(d * d for d in degs), v2, _pack_graph6(masks, range(n))
-            )
+            classes[(p, key)] = (labelings // aut, kappa, kappa_p, sum(d * d for d in degs), v2, tuple(masks))
 
-    walk(0, [0] * n, range(lo, hi), (1 << (q - 1)) - 1)
+    walk(0, [0] * n, (), range(lo, hi), (1 << (q - 1)) - 1)
     return classes
 
 
@@ -435,14 +466,14 @@ def _merge_cells(parts: list[dict]) -> dict:
         for key, found in part.items():
             classes.setdefault(key, found)
     cells: dict[tuple[str, int], _Cell] = {}
-    for weight, kappa, kappa_p, v1, v2, g6 in classes.values():
+    for weight, kappa, kappa_p, v1, v2, masks in classes.values():
         for mode, value in zip(MODES, (kappa, kappa_p)):
             cell = cells.get((mode, value))
             if cell is None:
                 cell = cells[(mode, value)] = _Cell()
             cell.count += weight
-            cell.by_index["M1"].offer(v1, g6)
-            cell.by_index["M2"].offer(v2, g6)
+            cell.by_index["M1"].offer(v1, masks)
+            cell.by_index["M2"].offer(v2, masks)
     return cells
 
 
@@ -475,9 +506,9 @@ class SweepTaskError(RuntimeError):
     """A sweep task ``(n, p, lo, hi)`` raised; the message names the task."""
 
 
-def _run_task(task: tuple[int, int, int, int]) -> dict:
+def _run_task(task: tuple[int, int, int, int], *classes: dict) -> dict:
     try:
-        return _sweep_chunk(task)
+        return _sweep_chunk(task, *classes)
     except Exception as exc:
         raise SweepTaskError(
             f"sweep task (n, p, lo, hi) = {task} failed: {type(exc).__name__}: {exc}"
@@ -499,17 +530,27 @@ def _sweep(n: int, workers: int = 1) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_task, tasks))
     else:
-        parts = [_run_task(t) for t in tasks]
+        # one table: the first task starts it, and a class that a later task meets again is skipped
+        parts = [_run_task(tasks[0])]
+        for task in tasks[1:]:
+            _run_task(task, parts[0])
     result = _merge_cells(parts)
     _sweep_cache.clear()
+    _canonical.cache_clear()
     _sweep_cache[n] = result
     return result
 
 
-def _dedup_isomorphic(ties: list[bytes]) -> list[str]:
-    """Sorted graph6 of the canonical forms of the tied graphs, given as graph6."""
-    forms = {canonical_form(decode_graph6(tie)) for tie in ties}
-    return sorted(form.decode("ascii") for form in forms)
+@cache
+def _canonical(masks: tuple[int, ...]) -> str:
+    """graph6 of the canonical form of the graph of ``masks``; the memo is
+    cleared with ``_sweep_cache``, so it holds the graphs of one order."""
+    return canonical_form(_masks_to_graph(masks, len(masks))).decode("ascii")
+
+
+def _dedup_isomorphic(ties: list[tuple[int, ...]]) -> list[str]:
+    """Sorted graph6 of the canonical forms of the tied graphs, given as neighbor masks."""
+    return sorted({_canonical(tie) for tie in ties})
 
 
 def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> SearchReport:
@@ -555,7 +596,7 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     elif len(maximizers) > 1 and note is None:
         # uniqueness of the maximizer is never assumed; ties are surfaced
         note = f"{len(maximizers)} non-isomorphic maximizers tie"
-    matches = predicted is not None and canonical_form(predicted).decode("ascii") in maximizers
+    matches = predicted is not None and _canonical(predicted.neighbor_masks) in maximizers
     return SearchReport(
         spec=spec,
         max_value=index_max.best if agg.count else None,

@@ -266,6 +266,24 @@ class TestWitnesses:
             first, *repairs = per_step.values()
             assert first <= kappa and all(count == 1 for count in repairs)
 
+    def test_cut_vertex_witness_is_the_lex_min_minimum_cut(self):
+        # kappa = 1 takes the cut-vertex route; K2 has no cut vertex, so its witness is empty
+        from zex import connectivity, minimum_vertex_cuts
+
+        checked = 0
+        for g in labeled_graphs(range(2, 7)):
+            if vertex_connectivity_value(g) != 1:
+                continue
+            expected = min((tuple(sorted(cut)) for cut in minimum_vertex_cuts(g)), default=())
+            assert connectivity._lex_min_vertex_cut(g, 1) == expected, g
+            checked += 1
+        assert checked == 15858
+
+    def test_cut_vertex_witness_on_a_long_path(self):
+        g = Graph(2000, [(v, v + 1) for v in range(1999)])
+        value, witness = vertex_connectivity(g)
+        assert (value, witness.members) == (1, (1,))
+
     def test_vertex_greedy_memory_on_a_long_path(self):
         import tracemalloc
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from functools import cache, reduce
 from math import comb, factorial
 from operator import or_
@@ -191,6 +192,27 @@ class TestWeightedSweep:
             report = search_max(SearchSpec(10, mode, 1, "M1"), at_least=True)
             assert report.graphs_enumerated == expected, mode
 
+    @pytest.mark.slow
+    def test_order11_through_its_tasks(self):
+        # MAX_SWEEP_ORDER stays 10, so run order 11's tasks directly, with one class table
+        import zex.search as search_module
+        from zex import predicted_extremal
+
+        classes = {}
+        for task in search_module._sweep_tasks(11):
+            search_module._sweep_chunk(task, classes)
+        assert len(classes) == 25598  # connected bipartite graphs of order 11
+        cells = search_module._merge_cells([classes])
+        expected = sum(_connected_spanning(p, 11 - p) for p in range(6))
+        assert expected == 973422173
+        assert sorted(cells) == [(mode, c) for mode in ("edge", "vertex") for c in range(1, 6)]
+        for mode in ("vertex", "edge"):
+            assert sum(cell.count for (m, _), cell in cells.items() if m == mode) == expected, mode
+            for c in range(1, 6):
+                graph = predicted_extremal(11, c, mode)
+                by_index = cells[(mode, c)].by_index
+                assert (by_index["M1"].best, by_index["M2"].best) == (m1(graph), m2(graph)), (mode, c)
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_maximizers_are_the_argmax_classes(self, n):
         for mode in ("vertex", "edge"):
@@ -333,7 +355,7 @@ class TestSweepWalk:
             key: [
                 cell.count,
                 {
-                    index: [m.best, {canonical_form(decode_graph6(tie)) for tie in m.ties}]
+                    index: [m.best, _forms(n, m.ties)]
                     for index, m in cell.by_index.items()
                 },
             ]
@@ -539,6 +561,82 @@ class TestSweepCache:
         search_module._sweep(6)
         search_module._sweep(7)
         assert list(search_module._sweep_cache) == [7]
+
+
+class TestSweepWorkIsDoneOnce:
+    def test_serial_sweep_classifies_each_class_once(self, monkeypatch):
+        # one class table across the tasks; a table per task classified 1,429 times at orders 6-9
+        import zex.search as search_module
+
+        classify = search_module._connectivity
+        calls = Counter()
+
+        def counting(masks, n):
+            calls[n] += 1
+            return classify(masks, n)
+
+        monkeypatch.setattr(search_module, "_connectivity", counting)
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        for n in range(6, 10):
+            search_module._sweep(n)
+        assert calls == {6: 20, 7: 44, 8: 239, 9: 730}
+        monkeypatch.setattr(search_module, "_connectivity", classify)
+        for n in range(6, 10):
+            per_task = [search_module._sweep_chunk(task) for task in search_module._sweep_tasks(n)]
+            assert len(set().union(*per_task)) == calls[n], n
+
+    def test_verify_canonicalizes_each_graph_once(self, monkeypatch, capsys):
+        # the ties and predicted graphs of orders 6-9 are 26 distinct graphs; uncached, 112 calls
+        import zex.search as search_module
+        from zex.cli import main
+
+        form = search_module.canonical_form
+        seen = []
+
+        def counting(g):
+            seen.append(g.neighbor_masks)
+            return form(g)
+
+        monkeypatch.delenv("ZEX_THREADS", raising=False)
+        monkeypatch.setattr(search_module, "canonical_form", counting)
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._canonical.cache_clear()
+        assert main(["verify", "--n-min", "6", "--n-max", "9"]) == 0
+        assert capsys.readouterr().out.endswith("all_match=True\n")
+        assert len(seen) == len(set(seen)) == 26
+
+    def test_leaf_connectedness_agrees_with_reach(self, monkeypatch):
+        # the components carried down the walk against a search on the leaf's masks
+        import zex.search as search_module
+        from zex.graphs import _reach
+
+        decode = search_module._bipartite_masks
+        connected = search_module._connected_masks
+        leaves = []
+        checked = Counter()
+
+        def record(p, carried, row):
+            masks = decode(p, carried, row)
+            leaves.append(masks)
+            return masks
+
+        def compare(parts, row, columns):
+            masks = leaves[-1]
+            full = (1 << len(masks)) - 1
+            found = connected(parts, row, columns)
+            assert found == (_reach(masks, 1, full) == full), masks
+            checked[len(masks), found] += 1
+            return found
+
+        monkeypatch.setattr(search_module, "_bipartite_masks", record)
+        monkeypatch.setattr(search_module, "_connected_masks", compare)
+        for n in range(2, 10):
+            for task in search_module._sweep_tasks(n):
+                search_module._sweep_chunk(task)
+        assert sum(checked.values()) == len(leaves)
+        # the traced orders 6-9 sweep scans 3,314 leaves and rejects 620 as disconnected
+        assert sum(checked[n, found] for n in range(6, 10) for found in (True, False)) == 3314
+        assert sum(checked[n, False] for n in range(6, 10)) == 620
 
 
 class TestSweepTaskError:
