@@ -38,7 +38,6 @@ from .graphs import (
     is_connected,
     m1,
     m2,
-    max_degree,
     min_degree,
     parse_edge_list,
     read_graph_file,
@@ -64,7 +63,6 @@ __all__ = [
     "m1",
     "m2",
     "min_degree",
-    "max_degree",
     "bipartition_of",
     "is_connected",
     "connected_components",

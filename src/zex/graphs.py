@@ -33,7 +33,6 @@ __all__ = [
     "INDICES",
     "index_value",
     "min_degree",
-    "max_degree",
     "bipartition_of",
     "is_connected",
     "connected_components",
@@ -217,12 +216,6 @@ def min_degree(g: Graph) -> int:
     if g.n < 1:
         raise ValueError("min_degree requires at least one vertex")
     return min(g.degrees())
-
-
-def max_degree(g: Graph) -> int:
-    if g.n < 1:
-        raise ValueError("max_degree requires at least one vertex")
-    return max(g.degrees())
 
 
 def _reach(masks: tuple[int, ...], start_bit: int, alive: int) -> int:

@@ -1,74 +1,33 @@
 """Exhaustive search over bipartite graphs with prescribed connectivity.
 
-A cross-part adjacency pattern with part size ``p`` is a tuple of ``p``
-rows (the neighborhoods of vertices ``0..p-1`` in the other part).  Rows
-are placed one at a time by ``_place_row``, which also sets the row's
-bit in the ``q = n - p`` column masks, so a walk over patterns carries
-the masks of the rows placed so far.  One decoder, ``_bipartite_masks``,
-adds the last row; one classifier, ``_connectivity``, gives the degrees
-and both connectivity values of a connected graph; ``_classify`` chains
-the decoder, the connectedness test and the classifier, and rejects
-isolated vertices and disconnected graphs.  Vertex connectivity comes
-from one cut enumerator, ``_vertex_cuts``, which yields the
-disconnecting ``k``-subsets in lexicographic order and also backs the
-brute-force route and ``minimum_vertex_cuts``.
+A cross-part adjacency pattern with part size ``p`` is a ``p x q`` 0/1
+matrix, ``q = n - p``, whose rows are the neighborhoods of vertices
+``0..p-1``; rows are placed by ``_place_row`` and decoded by
+``_bipartite_masks``, and ``_connectivity`` classifies a connected graph.
+``enumerate_class`` yields every labeled pattern of one connectivity
+class; brute-force connectivity (the cross-check for the flow module),
+minimum-cut predicates and ``canonical_form`` are also here.
 
-``enumerate_class`` classifies all ``2^(p(n-p))`` patterns for each ``p``
-from 1 to ``n // 2`` and yields the labeled graphs of connectivity
-exactly ``c``, hitting every isomorphism class at least once.
-
-The sweep behind ``search_max`` visits at least one pattern, and seldom
-more than a few, of every class of ``p x q`` 0/1 matrices under row and
-column permutations.  Every 0/1 matrix has a row and column order in
-which both the rows and the columns are nondecreasing (Lubiw, SIAM J.
-Comput. 1987), so the sweep walks only such doubly lexical matrices.
-It places nondecreasing nonzero rows depth first, carries the placed
-masks down the rows, and prunes a prefix as soon as two column prefixes
-are out of order (columns are read with row 0 as the high bit, so a
-prefix decides a column pair for good).  It also carries the column sets
-of the components that the placed rows span, so a leaf is connected iff
-its last row meets every one of them and together they cover all
-columns (``_connected_masks``).  A connected leaf gets a class key
-(``_class_key``) under row and column permutations: over every order of
-the rows by nondecreasing degree, any order within a degree, the least
-sorted tuple of the relabeled columns.  Each new class is classified
-once and weighted by ``p! q! / |Aut|``, the number of labeled patterns
-in it, where ``|Aut|`` is the number of row orders that reach the key
-times the product of ``multiplicity!`` over the distinct columns.  Class
-sizes (``graphs_enumerated``), maxima and maximizer classes are
-therefore exactly those of the labeled enumeration.  A class keeps the
-neighbor masks of one member.  Only the final ties and the predicted
-graphs are canonicalized, each distinct graph once per order (a memo by
-neighbor masks, cleared with the sweep cache); each maximizer is
-reported as the graph6 of its canonical form, sorted.
-
-The sweep of the latest order is cached and shared by all (mode, value,
-index) cells.  It is split into tasks ``(n, p, lo, hi)``, ranges of the
-first rows the walk can place (a failing task raises ``SweepTaskError``
-naming it).  A serial sweep passes one class table through every task,
-so a class that several tasks meet is classified once.  Worker processes
-run the tasks independently, each into its own table, and
-``_merge_cells`` unions the tables in task order, so a class found by
-two tasks counts once; it totals the classes into cells with a
-max-with-tie-union, so reports do not depend on the worker count.
-
-Also here: brute-force connectivity (the independent cross-check for the
-flow-based module), minimum-cut predicates, and a label-invariant
-canonical form used to deduplicate maximizers.
+The sweep behind ``search_max`` walks only doubly lexical matrices: every
+0/1 matrix has a row and column order in which both rows and columns are
+nondecreasing (Lubiw, SIAM J. Comput. 1987), so every class under row and
+column permutations is visited.  Each class is classified once and
+weighted by ``p! q! / |Aut|``, its number of labeled patterns, so counts
+and maxima are those of the labeled enumeration.  The sweep returns one
+record per class, and each ``search_max`` cell is a query over them.  A
+serial sweep passes one class table through all its tasks; worker
+processes fill a table per task, and ``_merge_cells`` unions them in task
+order, so reports do not depend on the worker count.
 
 Scale caps: full sweeps support ``n <= 10``; the canonical form supports
-``n <= 16``.  A serial sweep of orders 6-9 (3,314 doubly lexical
-patterns, 1,033 classes) takes about 0.05 s and one of order 10 (28,619
-patterns) about 0.4-0.6 s, in one process on a 2-CPU x86-64 VM with
-Python 3.11.  Order 11, run through its tasks with one class table,
-takes about 3-4 s.
+``n <= 16``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -319,38 +278,6 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
                     yield _masks_to_graph(found[0], n)
 
 
-@dataclass
-class _IndexMax:
-    best: int = -1
-    # the neighbor masks of one member per maximizer class, canonicalized only in the end
-    ties: list[tuple[int, ...]] = field(default_factory=list)
-
-    def offer(self, value: int, masks: tuple[int, ...]) -> None:
-        if value > self.best:
-            self.best = value
-            self.ties = [masks]
-        elif value == self.best:
-            self.ties.append(masks)
-
-    def merge(self, other: "_IndexMax") -> None:
-        if other.best > self.best:
-            self.best = other.best
-            self.ties = list(other.ties)
-        elif other.best == self.best:
-            self.ties.extend(other.ties)
-
-
-@dataclass
-class _Cell:
-    count: int = 0
-    by_index: dict = field(default_factory=lambda: {idx: _IndexMax() for idx in INDICES})
-
-    def merge(self, other: "_Cell") -> None:
-        self.count += other.count
-        for idx in INDICES:
-            self.by_index[idx].merge(other.by_index[idx])
-
-
 @cache
 def _relabel_table(order: tuple[int, ...]) -> tuple[int, ...]:
     """Entry ``col`` is the column ``col`` (a ``len(order)``-bit int) with
@@ -400,10 +327,11 @@ def _class_key(masks: list[int], p: int) -> tuple[tuple[int, ...], int]:
 def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None) -> dict:
     """Classify the doubly lexical matrices of part size ``p`` whose first
     row lies in ``lo..hi-1`` into ``classes`` (a new table by default) and
-    return it: ``{(p, key): (weight, kappa, kappa_prime, M1, M2, masks)}``,
-    one entry per class, keyed by ``_class_key`` and with the neighbor
-    masks of one member.  A class already in the table is not classified
-    again.
+    return it: ``{(p, key): (weight, connectivity, values, masks)}``, one
+    record per class, keyed by ``_class_key``, with the connectivity values
+    in ``MODES`` order, the index values in ``INDICES`` order and the
+    neighbor masks of one member.  A class already in the table is not
+    classified again.
 
     Row ``i`` is the ``q``-bit int of its columns; column ``j`` is read
     with row 0 as its most significant bit.  A depth-first walk places
@@ -443,7 +371,7 @@ def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None
             key, aut = _class_key(masks, p)
             if (p, key) in classes:
                 continue
-            degs, (kappa, kappa_p) = _connectivity(masks, n)
+            degs, connectivity = _connectivity(masks, n)
             v2 = 0
             for u in range(p):
                 mu = masks[u]
@@ -452,32 +380,23 @@ def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None
                     v = (mu & -mu).bit_length() - 1
                     mu &= mu - 1
                     v2 += du * degs[v]
-            classes[(p, key)] = (labelings // aut, kappa, kappa_p, sum(d * d for d in degs), v2, tuple(masks))
+            classes[(p, key)] = (labelings // aut, connectivity, (sum(d * d for d in degs), v2), tuple(masks))
 
     walk(0, [0] * n, (), range(lo, hi), (1 << (q - 1)) - 1)
     return classes
 
 
-def _merge_cells(parts: list[dict]) -> dict:
-    """Union the classes of all tasks, so a class found by two tasks counts
-    once, and total them into per-(mode, c) cells."""
+def _merge_cells(parts: list[dict]) -> list[tuple]:
+    """The records of the union of the task tables, in task order, so a
+    class found by two tasks counts once."""
     classes: dict[tuple[int, tuple[int, ...]], tuple] = {}
     for part in parts:
-        for key, found in part.items():
-            classes.setdefault(key, found)
-    cells: dict[tuple[str, int], _Cell] = {}
-    for weight, kappa, kappa_p, v1, v2, masks in classes.values():
-        for mode, value in zip(MODES, (kappa, kappa_p)):
-            cell = cells.get((mode, value))
-            if cell is None:
-                cell = cells[(mode, value)] = _Cell()
-            cell.count += weight
-            cell.by_index["M1"].offer(v1, masks)
-            cell.by_index["M2"].offer(v2, masks)
-    return cells
+        for key, record in part.items():
+            classes.setdefault(key, record)
+    return list(classes.values())
 
 
-_sweep_cache: dict[int, dict] = {}
+_sweep_cache: dict[int, list[tuple]] = {}
 _CHUNK_BITS = 12
 
 
@@ -515,8 +434,8 @@ def _run_task(task: tuple[int, int, int, int], *classes: dict) -> dict:
         ) from exc
 
 
-def _sweep(n: int, workers: int = 1) -> dict:
-    """All (mode, connectivity) cells of the full order-``n`` sweep.
+def _sweep(n: int, workers: int = 1) -> list[tuple]:
+    """The class records of the full order-``n`` sweep (see ``_sweep_chunk``).
     Only the latest order is cached, as callers walk orders in turn."""
     _check_sweep_order(n)
     cached = _sweep_cache.get(n)
@@ -566,13 +485,11 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     class; ``matches`` is true when the predicted graph is one of them.
     """
     start = time.perf_counter()
-    cells = _sweep(spec.n, workers)
+    which, i = MODES.index(spec.mode), INDICES.index(spec.index)
     values = range(spec.c, spec.n // 2 + 1) if at_least else (spec.c,)
-    agg = _Cell()
-    for c in values:
-        found = cells.get((spec.mode, c))
-        if found is not None:
-            agg.merge(found)
+    members = [record for record in _sweep(spec.n, workers) if record[1][which] in values]
+    count = sum(weight for weight, _, _, _ in members)
+    best = max((found[i] for _, _, found, _ in members), default=None)
     note = None
 
     predicted = None
@@ -589,9 +506,8 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
         note = "no prediction below order 6"
     predicted_graph = None if predicted is None else encode_graph6(predicted).decode("ascii")
 
-    index_max = agg.by_index[spec.index]
-    maximizers = _dedup_isomorphic(index_max.ties)  # no ties in an empty class
-    if not agg.count:
+    maximizers = _dedup_isomorphic([masks for _, _, found, masks in members if found[i] == best])
+    if not count:
         note = "empty class"
     elif len(maximizers) > 1 and note is None:
         # uniqueness of the maximizer is never assumed; ties are surfaced
@@ -599,12 +515,12 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     matches = predicted is not None and _canonical(predicted.neighbor_masks) in maximizers
     return SearchReport(
         spec=spec,
-        max_value=index_max.best if agg.count else None,
+        max_value=best,
         maximizers=tuple(maximizers),
         predicted_graph=predicted_graph,
         predicted_value=predicted_value,
         matches=matches,
-        graphs_enumerated=agg.count,
+        graphs_enumerated=count,
         elapsed=time.perf_counter() - start,
         note=note,
     )

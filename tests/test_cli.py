@@ -8,12 +8,14 @@ from conftest import run_python
 from zex import (
     FamilyParams,
     Graph,
+    SearchSpec,
     build_family,
     canonical_form,
     complete_bipartite,
     encode_graph6,
     format_edge_list,
     read_graph_file,
+    search_max,
 )
 from zex.cli import VerifyRunConfig, main
 
@@ -116,6 +118,12 @@ class TestSearchCommand:
         assert payload["max_value"] == 38
         assert payload["matches"] is True
         assert payload["spec"] == {"n": 6, "mode": "vertex", "c": 1, "index": "M1"}
+
+    def test_at_least_matches_the_library(self, capsys):
+        argv = ["search", "--n", "7", "--mode", "edge", "--c", "1", "--index", "M2", "--at-least"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_value"] == search_max(SearchSpec(7, "edge", 1, "M2"), at_least=True).max_value
 
 
 def _strip_elapsed(cells):

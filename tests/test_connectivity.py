@@ -284,14 +284,23 @@ class TestWitnesses:
         value, witness = vertex_connectivity(g)
         assert (value, witness.members) == (1, (1,))
 
-    def test_vertex_greedy_memory_on_a_long_path(self):
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            ([(v, v + 1) for v in range(199)], (1, (1,))),
+            # kappa = 2, so the greedy keeps pair flows
+            ([(v, (v + 1) % 200) for v in range(200)], (2, (0, 2))),
+        ],
+        ids=["path", "cycle"],
+    )
+    def test_vertex_greedy_memory_on_a_long_path(self, edges, expected):
         import tracemalloc
 
         from zex import connectivity
 
-        g = Graph(200, [(v, v + 1) for v in range(199)])
+        g = Graph(200, edges)
         value, witness = vertex_connectivity(g)
-        assert (value, witness.members) == (1, (1,))
+        assert (value, witness.members) == expected
         tracemalloc.start()
         try:
             connectivity._lex_min_vertex_cut(g, value)

@@ -202,16 +202,22 @@ class TestWeightedSweep:
         for task in search_module._sweep_tasks(11):
             search_module._sweep_chunk(task, classes)
         assert len(classes) == 25598  # connected bipartite graphs of order 11
-        cells = search_module._merge_cells([classes])
+        records = search_module._merge_cells([classes])
+        assert len(records) == 25598
         expected = sum(_connected_spanning(p, 11 - p) for p in range(6))
         assert expected == 973422173
-        assert sorted(cells) == [(mode, c) for mode in ("edge", "vertex") for c in range(1, 6)]
+        counts = Counter()
+        maxima = {}
+        for weight, connectivity, values, _ in records:
+            for cell in zip(("vertex", "edge"), connectivity):
+                counts[cell] += weight
+                maxima[cell] = tuple(map(max, maxima.get(cell, values), values))
+        assert sorted(counts) == [(mode, c) for mode in ("edge", "vertex") for c in range(1, 6)]
         for mode in ("vertex", "edge"):
-            assert sum(cell.count for (m, _), cell in cells.items() if m == mode) == expected, mode
+            assert sum(counts[mode, c] for c in range(1, 6)) == expected, mode
             for c in range(1, 6):
                 graph = predicted_extremal(11, c, mode)
-                by_index = cells[(mode, c)].by_index
-                assert (by_index["M1"].best, by_index["M2"].best) == (m1(graph), m2(graph)), (mode, c)
+                assert maxima[mode, c] == (m1(graph), m2(graph)), (mode, c)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_maximizers_are_the_argmax_classes(self, n):
@@ -238,6 +244,20 @@ class TestWeightedSweep:
                     for index in ("M1", "M2"):
                         for g6 in search_max(SearchSpec(n, mode, c, index)).maximizers:
                             assert canonical_form(decode_graph6(g6.encode())).decode() == g6
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_at_least_is_the_union_of_the_exact_cells(self, n):
+        for mode in ("vertex", "edge"):
+            for index in ("M1", "M2"):
+                exact = [search_max(SearchSpec(n, mode, c, index)) for c in range(1, n // 2 + 2)]
+                for c in range(1, n // 2 + 2):
+                    above = exact[c - 1:]
+                    union = search_max(SearchSpec(n, mode, c, index), at_least=True)
+                    best = max((r.max_value for r in above if r.max_value is not None), default=None)
+                    expected = {g6 for r in above if r.max_value == best for g6 in r.maximizers}
+                    assert union.graphs_enumerated == sum(r.graphs_enumerated for r in above), (mode, c)
+                    assert union.max_value == best, (mode, c, index)
+                    assert list(union.maximizers) == sorted(expected), (mode, c, index)
 
     def test_workers_give_equal_reports(self, monkeypatch):
         import zex.search as search_module
@@ -346,28 +366,20 @@ class TestSweepWalk:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_every_task_matches_the_flat_walk(self, n):
-        # per-task output differs (a class may be found by several tasks), so
-        # compare the sweep merged over every task with the flat walk over every task
+        # every cell queried from the sweep's class records against the flat walk over every task
         import zex.search as search_module
 
         assert any(p == 1 for _, p, _, _ in search_module._sweep_tasks(n))  # no row below the first
-        got = {
-            key: [
-                cell.count,
-                {
-                    index: [m.best, _forms(n, m.ties)]
-                    for index, m in cell.by_index.items()
-                },
-            ]
-            for key, cell in search_module._merge_cells(
-                [search_module._sweep_chunk(task) for task in search_module._sweep_tasks(n)]
-            ).items()
-        }
-        expected = {
-            key: [count, {index: [best, _forms(n, ties)] for index, (best, ties) in by_index.items()}]
-            for key, (count, by_index) in _flat_sweep(n).items()
-        }
-        assert got == expected
+        flat = _flat_sweep(n)
+        for mode in ("vertex", "edge"):
+            for c in range(1, n // 2 + 2):
+                count, by_index = flat.get((mode, c), (0, {}))  # an absent cell is empty
+                for index in ("M1", "M2"):
+                    best, ties = by_index.get(index, (None, []))
+                    report = search_max(SearchSpec(n, mode, c, index))
+                    assert report.graphs_enumerated == count, (mode, c)
+                    assert report.max_value == best, (mode, c, index)
+                    assert set(report.maximizers) == {f.decode() for f in _forms(n, ties)}, (mode, c, index)
 
     def test_walk_visits_every_row_and_column_class(self, monkeypatch):
         # Lubiw: every 0/1 matrix has a doubly lexical row and column order, so every
