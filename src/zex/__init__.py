@@ -18,12 +18,10 @@ from .connectivity import (
 )
 from .families import (
     FamilyParams,
-    VertexLayout,
     build_family,
     complete_bipartite,
     family_m1,
     family_m2,
-    layout_of,
     predicted_extremal,
 )
 from .graphs import (
@@ -78,8 +76,6 @@ __all__ = [
     "edge_connectivity_value",
     "is_k_connected",
     "FamilyParams",
-    "VertexLayout",
-    "layout_of",
     "complete_bipartite",
     "build_family",
     "family_m1",

@@ -52,8 +52,6 @@ class VerifyRunConfig:
     n_max: int
     modes: tuple[str, ...] = MODES
     indices: tuple[str, ...] = INDICES
-    out: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if not VERIFY_MIN_ORDER <= self.n_min <= self.n_max <= VERIFY_MAX_ORDER:
@@ -67,8 +65,6 @@ class VerifyRunConfig:
                     raise ValueError(f"unknown {kind} {name!r}")
                 if name in names[:i]:
                     raise ValueError(f"repeated {kind} {name!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown report format {self.fmt!r}")
 
 
 def _workers_from_env() -> int:
@@ -172,8 +168,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         modes=tuple(args.modes.split(",")),
         indices=tuple(args.indices.split(",")),
-        out=args.out,
-        fmt=args.format,
     )
     reports = _verify_cells(config, _workers_from_env())
     nonempty = [r for r in reports if r.max_value is not None]
@@ -186,8 +180,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"maximizers={len(r.maximizers)} [{status}]"
         )
     print(f"all_match={all_match}")
-    if config.out:
-        if config.fmt == "json":
+    if args.out:
+        if args.format == "json":
             payload = json.dumps(
                 {"cells": [r.to_dict() for r in reports], "all_match": all_match},
                 indent=2,
@@ -199,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                        len(r.maximizers))
                 lines.append(",".join(map(str, row)))
             payload = "\n".join(lines) + "\n"
-        with open(config.out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(payload)
     return 0 if all_match else 1
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _bits, _reach, is_connected, min_degree
+from .graphs import Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
 
 __all__ = [
     "MODES",
@@ -264,14 +264,10 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     """Lexicographically smallest vertex set of size kappa whose removal disconnects g
     (none for a complete graph, which has no non-adjacent pair)."""
     masks = g.neighbor_masks
-    full = (1 << g.n) - 1
     if kappa == 1:
         # the cut is one cut vertex: the first whose removal disconnects g, no flow needed
-        for v in range(g.n):
-            alive = full ^ 1 << v
-            if _reach(masks, alive & -alive, alive) != alive:
-                return (v,)
-        return ()
+        return next(_vertex_cuts(masks, g.n, 1), ())
+    full = (1 << g.n) - 1
     split = _split(masks)
     # Even's pairs; each carries its kept flow as paths and their inner-vertex bitmask
     pairs = [
@@ -359,7 +355,11 @@ def edge_connectivity(g: Graph) -> tuple[int, CutWitness]:
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """True iff the graph has more than ``k`` vertices and connectivity at least ``k``."""
+    """True iff the graph has more than ``k`` vertices and connectivity at least ``k``.
+
+    Kept beside ``vertex_connectivity_value`` because it caps every flow at
+    ``k``, so a threshold test never pays for the full connectivity.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     return g.n > k and _vertex_scan(g.neighbor_masks, k) >= k

@@ -28,8 +28,6 @@ from .graphs import Graph
 
 __all__ = [
     "FamilyParams",
-    "VertexLayout",
-    "layout_of",
     "complete_bipartite",
     "build_family",
     "family_m1",
@@ -71,31 +69,11 @@ class FamilyParams:
         return self.r - self.k
 
 
-@dataclass(frozen=True)
-class VertexLayout:
-    """Fixed vertex labels of a family graph, for reproducible encodings: the label
-    ranges of its classes v, C, A (its last label ``a_last`` apart) and B."""
-
-    v: int
-    c_vertices: tuple[int, ...]
-    a_vertices: tuple[int, ...]
-    a_last: int
-    b_vertices: tuple[int, ...]
-
-    @property
-    def a_all(self) -> tuple[int, ...]:
-        return self.a_vertices + (self.a_last,)
-
-
-def _classes(counts: Sequence[int]) -> list[range]:
-    """The label range of each class of a blow-up: consecutive, in class order."""
-    return [range(end - size, end) for size, end in zip(counts, accumulate(counts))]
-
-
 def _blowup(counts: Sequence[int], joins: Sequence[tuple[int, int]]) -> Graph:
-    """The graph of a class table: independent classes of ``counts`` vertices, and
-    each pair of classes in ``joins`` joined completely."""
-    labels = _classes(counts)
+    """The graph of a class table: independent classes of ``counts`` vertices on
+    consecutive labels, in class order, and each pair of classes in ``joins``
+    joined completely."""
+    labels = [range(end - size, end) for size, end in zip(counts, accumulate(counts))]
     return Graph(sum(counts), [(u, v) for i, j in joins for u in labels[i] for v in labels[j]])
 
 
@@ -116,12 +94,6 @@ def _family_table(p: FamilyParams) -> tuple[tuple[int, ...], tuple[tuple[int, in
     return (1, p.k, p.a_count, p.b_count), ((0, 1), (1, 2), (2, 3))
 
 
-def layout_of(p: FamilyParams) -> VertexLayout:
-    """The canonical label assignment for ``build_family(p)``."""
-    v, c, a, b = _classes(_family_table(p)[0])
-    return VertexLayout(v[0], tuple(c), tuple(a[:-1]), a[-1], tuple(b))
-
-
 def complete_bipartite(p: int, q: int) -> Graph:
     """K_{p,q} on labels ``0..p-1`` and ``p..p+q-1``; K_{p,0} is p isolated vertices."""
     if p < 0 or q < 0 or p + q < 1:
@@ -130,7 +102,7 @@ def complete_bipartite(p: int, q: int) -> Graph:
 
 
 def build_family(p: FamilyParams) -> Graph:
-    """Construct the family graph on the canonical ``VertexLayout`` labels."""
+    """Construct the family graph, its classes v, C, A and B on consecutive labels."""
     return _blowup(*_family_table(p))
 
 

@@ -22,6 +22,7 @@ Supported interchange formats:
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -168,6 +169,9 @@ class Graph:
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on ``keep``, relabeled to ``0..len(keep)-1`` in sorted order."""
         kept = sorted(set(keep))
+        for v in kept:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range for n={self.n}")
         index = {v: i for i, v in enumerate(kept)}
         edges = _mask_edges(self._masks)
         return Graph(len(kept), ((index[u], index[v]) for u, v in edges if u in index and v in index))
@@ -191,19 +195,34 @@ class Bipartition(NamedTuple):
     Y: frozenset[int]
 
 
+# the index names, as used by search cells, reports and the command line
+INDICES = ("M1", "M2")
+
+
+def _mask_indices(masks: Sequence[int]) -> tuple[int, int]:
+    """The index values, in ``INDICES`` order, of the graph of the neighbor
+    bitmasks ``masks``: the sum of the squared degrees, and the sum over the
+    edges ``u < v`` of ``d(u) d(v)``."""
+    degs = list(map(int.bit_count, masks))
+    second = 0
+    for u, m in enumerate(masks):
+        du = degs[u]
+        m >>= u + 1
+        while m:
+            low = m & -m
+            second += du * degs[u + low.bit_length()]
+            m ^= low
+    return sum(d * d for d in degs), second
+
+
 def m1(g: Graph) -> int:
     """First degree-power index: sum of the squared degree of every vertex."""
-    return sum(d * d for d in g.degrees())
+    return _mask_indices(g.neighbor_masks)[0]
 
 
 def m2(g: Graph) -> int:
     """Second degree-power index: sum over edges of the product of endpoint degrees."""
-    deg = g.degrees()
-    return sum(deg[u] * deg[v] for u, v in g.edges())
-
-
-# the index names, as used by search cells, reports and the command line
-INDICES = ("M1", "M2")
+    return _mask_indices(g.neighbor_masks)[1]
 
 
 def index_value(name: str, g: Graph) -> int:
@@ -218,7 +237,7 @@ def min_degree(g: Graph) -> int:
     return min(g.degrees())
 
 
-def _reach(masks: tuple[int, ...], start_bit: int, alive: int) -> int:
+def _reach(masks: Sequence[int], start_bit: int, alive: int) -> int:
     """Bitmask of vertices reachable from ``start_bit`` within ``alive``."""
     seen = start_bit
     frontier = start_bit
@@ -232,6 +251,18 @@ def _reach(masks: tuple[int, ...], start_bit: int, alive: int) -> int:
         frontier = nxt & alive & ~seen
         seen |= frontier
     return seen
+
+
+def _vertex_cuts(masks: Sequence[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The ``k``-subsets of ``0..n-1`` whose removal disconnects the rest,
+    in lexicographic order."""
+    full = (1 << n) - 1
+    for combo in combinations(range(n), k):
+        alive = full
+        for v in combo:
+            alive &= ~(1 << v)
+        if _reach(masks, alive & -alive, alive) != alive:
+            yield combo
 
 
 def is_connected(g: Graph) -> bool:
@@ -263,7 +294,8 @@ def bipartition_of(g: Graph) -> Optional[Bipartition]:
 
     Coloring proceeds per connected component by breadth-first search from
     the smallest unvisited vertex, which lands in ``X``; isolated vertices
-    therefore land in ``X`` as well.
+    therefore land in ``X`` as well.  It is the package's bipartiteness
+    check, and gives the classes that ``has_straddling_min_cut`` takes.
     """
     color = [-1] * g.n
     masks = g.neighbor_masks

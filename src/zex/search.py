@@ -3,10 +3,12 @@
 A cross-part adjacency pattern with part size ``p`` is a ``p x q`` 0/1
 matrix, ``q = n - p``, whose rows are the neighborhoods of vertices
 ``0..p-1``; rows are placed by ``_place_row`` and decoded by
-``_bipartite_masks``, and ``_connectivity`` classifies a connected graph.
-``enumerate_class`` yields every labeled pattern of one connectivity
-class; brute-force connectivity (the cross-check for the flow module),
-minimum-cut predicates and ``canonical_form`` are also here.
+``_bipartite_masks``, and ``_connectivity`` reads the connectivity and
+index values of a connected graph.  ``enumerate_class`` yields every
+labeled pattern of one connectivity class; brute-force connectivity (the
+cross-check for the flow module, on the cut enumerator
+``graphs._vertex_cuts``), minimum-cut predicates and ``canonical_form``
+are also here.
 
 The sweep behind ``search_max`` walks only doubly lexical matrices: every
 0/1 matrix has a row and column order in which both rows and columns are
@@ -29,7 +31,7 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import comb, factorial
 from typing import Iterator, Optional
 
@@ -40,8 +42,10 @@ from .graphs import (
     Bipartition,
     Graph,
     _mask_edges,
+    _mask_indices,
     _pack_graph6,
     _reach,
+    _vertex_cuts,
     connected_components,
     encode_graph6,
     index_value,
@@ -136,18 +140,6 @@ def _connected_masks(parts: tuple[int, ...], row: int, columns: int) -> bool:
     return _join(parts, row) == (columns,)
 
 
-def _vertex_cuts(masks: list[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The ``k``-subsets of ``0..n-1`` whose removal disconnects the rest,
-    in lexicographic order."""
-    full = (1 << n) - 1
-    for combo in combinations(range(n), k):
-        alive = full
-        for v in combo:
-            alive &= ~(1 << v)
-        if _reach(masks, alive & -alive, alive) != alive:
-            yield combo
-
-
 def _kappa_masks(masks: list[int], n: int, bound: int) -> int:
     """Exact vertex connectivity of a connected graph given as bitmasks:
     the smallest cut size below ``bound``, else ``bound`` (the minimum
@@ -202,19 +194,19 @@ def _bipartite_masks(p: int, carried: list[int], row: int) -> Optional[list[int]
     return None if 0 in masks else masks
 
 
-def _connectivity(masks: list[int], n: int) -> tuple[list[int], tuple[int, int]]:
-    """``(degrees, (kappa, kappa_prime))`` of a connected graph given as
-    bitmasks; the connectivity values are in ``MODES`` order."""
-    degs = [m.bit_count() for m in masks]
-    delta = min(degs)
+def _connectivity(masks: list[int], n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``((kappa, kappa_prime), (M1, M2))`` of a connected graph given as
+    bitmasks: the connectivity values in ``MODES`` order and the index
+    values in ``INDICES`` order."""
+    delta = min(map(int.bit_count, masks))
     kappa = _kappa_masks(masks, n, delta)
     # kappa <= kappa' <= delta
     kappa_p = delta if kappa == delta else _kappa_prime_masks(masks, n, delta)
-    return degs, (kappa, kappa_p)
+    return (kappa, kappa_p), _mask_indices(masks)
 
 
 def _classify(n: int, p: int, carried: list[int], row: int) -> Optional[tuple]:
-    """``(masks, degrees, (kappa, kappa_prime))`` of the bipartite graph
+    """``(masks, (kappa, kappa_prime), (M1, M2))`` of the bipartite graph
     decoded by ``_bipartite_masks``, or None when it has an isolated vertex
     or is disconnected."""
     masks = _bipartite_masks(p, carried, row)
@@ -274,7 +266,7 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
                 carried = _place_row(carried, p, i, row)
             for row in range(top):
                 found = _classify(n, p, carried, row)
-                if found is not None and found[2][which] == spec.c:
+                if found is not None and found[1][which] == spec.c:
                     yield _masks_to_graph(found[0], n)
 
 
@@ -371,16 +363,7 @@ def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None
             key, aut = _class_key(masks, p)
             if (p, key) in classes:
                 continue
-            degs, connectivity = _connectivity(masks, n)
-            v2 = 0
-            for u in range(p):
-                mu = masks[u]
-                du = degs[u]
-                while mu:
-                    v = (mu & -mu).bit_length() - 1
-                    mu &= mu - 1
-                    v2 += du * degs[v]
-            classes[(p, key)] = (labelings // aut, connectivity, (sum(d * d for d in degs), v2), tuple(masks))
+            classes[(p, key)] = (labelings // aut, *_connectivity(masks, n), tuple(masks))
 
     walk(0, [0] * n, (), range(lo, hi), (1 << (q - 1)) - 1)
     return classes
@@ -538,13 +521,15 @@ def minimum_vertex_cuts(g: Graph) -> list[frozenset[int]]:
     if kappa == 0:
         return []
     # a complete graph has no disconnecting (n - 1)-subset, so it yields none
-    return [frozenset(cut) for cut in _vertex_cuts(list(g.neighbor_masks), g.n, kappa)]
+    return [frozenset(cut) for cut in _vertex_cuts(g.neighbor_masks, g.n, kappa)]
 
 
 def has_straddling_min_cut(g: Graph, b: Bipartition) -> bool:
     """True iff some minimum vertex cut meets both classes of ``b``.
 
     Requires ``g`` connected; ``b`` must be a valid bipartition of ``g``.
+    Nothing in the package calls it: it states acceptance criterion 7, that
+    no maximizer has a minimum cut meeting both color classes.
     """
     if not is_connected(g):
         raise ValueError("straddling-cut check requires a connected graph")
@@ -556,6 +541,8 @@ def cut_component_profile(g: Graph, s: frozenset[int]) -> list[int]:
 
     Rejects ``s`` when ``g`` is disconnected or removing ``s`` leaves
     fewer than two components (then ``s`` is not a vertex cut set).
+    Nothing in the package calls it: it states acceptance criterion 7, that
+    a one-sided minimum cut of a maximizer splits off a single vertex.
     """
     if not is_connected(g):
         raise ValueError("cut profiles require a connected graph")

@@ -26,7 +26,7 @@ from zex import (
     vertex_connectivity_value,
 )
 from zex.connectivity import _augment, _lex_min_vertex_cut, _split, _unit_flow
-from zex.search import _vertex_cuts
+from zex.graphs import _vertex_cuts
 
 nx = pytest.importorskip("networkx")
 

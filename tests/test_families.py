@@ -1,11 +1,12 @@
 """Constructions: family builder, closed forms, predicted maximizers."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from zex import (
     FamilyParams,
     Graph,
-    VertexLayout,
     build_family,
     canonical_form,
     case1_rewire,
@@ -15,7 +16,6 @@ from zex import (
     edge_connectivity_value,
     family_m1,
     family_m2,
-    layout_of,
     m1,
     m2,
     min_degree,
@@ -66,15 +66,6 @@ class TestFamilyParams:
         with pytest.raises(ValueError, match="n-2"):
             FamilyParams(6, 1, 5)
 
-    def test_layout_partitions_labels(self):
-        p = FamilyParams(9, 2, 4)
-        lay = layout_of(p)
-        labels = [lay.v, *lay.c_vertices, *lay.a_vertices, lay.a_last, *lay.b_vertices]
-        assert sorted(labels) == list(range(9))
-        assert len(lay.c_vertices) == 2
-        assert len(lay.a_all) == p.a_count
-        assert len(lay.b_vertices) == p.b_count
-
 
 class TestBuildFamily:
     def test_family_7_1_3_profile(self):
@@ -88,7 +79,7 @@ class TestBuildFamily:
     def test_degree_profile_by_role(self):
         p = FamilyParams(10, 2, 5)
         g = build_family(p)
-        lay = layout_of(p)
+        lay = ref_layout(p)
         n, k, r = p.n, p.k, p.r
         assert g.degree(lay.v) == k
         assert all(g.degree(c) == n - r for c in lay.c_vertices)
@@ -204,12 +195,15 @@ class TestPredictedExtremal:
 
 
 def ref_layout(p):
+    # the labels of the classes v, C, A (its last label a_last apart) and B
     k, a = p.k, p.a_count
-    return VertexLayout(
+    a_vertices = tuple(range(k + 1, k + a))
+    return SimpleNamespace(
         v=0,
         c_vertices=tuple(range(1, k + 1)),
-        a_vertices=tuple(range(k + 1, k + a)),
+        a_vertices=a_vertices,
         a_last=k + a,
+        a_all=a_vertices + (k + a,),
         b_vertices=tuple(range(k + a + 1, p.n)),
     )
 
@@ -271,7 +265,6 @@ class TestClassTablesMatchReferences:
 
     def test_family_layout_masks_and_closed_forms(self):
         for p in all_params(6, 30):
-            assert layout_of(p) == ref_layout(p), p
             assert build_family(p).neighbor_masks == ref_family(p).neighbor_masks, p
             assert (family_m1(p), family_m2(p)) == (ref_m1(p), ref_m2(p)), p
 

@@ -109,6 +109,13 @@ class TestRewriteContract:
             P4.relabeled(perm)
         assert str(exc.value) == "perm must be a permutation of 0..n-1"
 
+    @pytest.mark.parametrize("keep,bad", [([0, 1, 7], 7), ([-1, 0, 1], -1)])
+    def test_induced_rejects_out_of_range(self, keep, bad):
+        # unchecked, 7 became an isolated vertex and -1 shifted the labels
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [(0, 1), (1, 2)]).induced(keep)
+        assert str(exc.value) == f"vertex {bad} out of range for n=3"
+
     @settings(max_examples=200, derandomize=True)
     @given(graphs(max_n=9), st.data())
     def test_edges_changed_matches_edge_sets(self, g, data):
@@ -203,6 +210,8 @@ class TestIndexProperties:
     def test_m1_edge_fold_identity(self, g):
         deg = g.degrees()
         assert m1(g) == sum(deg[u] + deg[v] for u, v in g.edges())
+        assert m1(g) == sum(d * d for d in deg)
+        assert m2(g) == sum(deg[u] * deg[v] for u, v in g.edges())
 
     @settings(max_examples=200, derandomize=True)
     @given(graphs(min_n=2, max_n=9))

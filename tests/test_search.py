@@ -320,7 +320,8 @@ def _flat_chunk(n, p, lo, hi):
             found = _classify(n, p, _flat_carried(n, p, rows[:-1]), rows[-1])
             if found is None:
                 continue
-            masks, degs, values = found
+            masks, values, _ = found
+            degs = [m.bit_count() for m in masks]
             v1 = sum(d * d for d in degs)
             v2 = sum(degs[u] * degs[v] for u in range(p) for v in range(p, n) if masks[u] >> v & 1)
             for key in zip(MODES, values):
