@@ -19,6 +19,7 @@ from dataclasses import astuple, dataclass
 
 from .connectivity import MODES, edge_connectivity, vertex_connectivity
 from .families import (
+    MIN_FAMILY_ORDER,
     FamilyParams,
     build_family,
     complete_bipartite,
@@ -36,10 +37,7 @@ from .graphs import (
     m2,
     read_graph_file,
 )
-from .search import SearchReport, SearchSpec, search_max
-
-VERIFY_MIN_ORDER = 6
-VERIFY_MAX_ORDER = 10
+from .search import MAX_SWEEP_ORDER, SearchReport, SearchSpec, search_max
 
 _CSV_COLUMNS = ("n", "mode", "c", "index", "max", "predicted", "match", "num_maximizers")
 
@@ -54,10 +52,10 @@ class VerifyRunConfig:
     indices: tuple[str, ...] = INDICES
 
     def __post_init__(self):
-        if not VERIFY_MIN_ORDER <= self.n_min <= self.n_max <= VERIFY_MAX_ORDER:
+        if not MIN_FAMILY_ORDER <= self.n_min <= self.n_max <= MAX_SWEEP_ORDER:
             raise ValueError(
-                f"verification orders must satisfy {VERIFY_MIN_ORDER} <= n_min <= "
-                f"n_max <= {VERIFY_MAX_ORDER}"
+                f"verification orders must satisfy {MIN_FAMILY_ORDER} <= n_min <= "
+                f"n_max <= {MAX_SWEEP_ORDER}"
             )
         for kind, names, known in (("mode", self.modes, MODES), ("index", self.indices, INDICES)):
             for i, name in enumerate(names):
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", help="check predicted maximizers over a grid")
-    p_verify.add_argument("--n-min", type=int, default=VERIFY_MIN_ORDER)
+    p_verify.add_argument("--n-min", type=int, default=MIN_FAMILY_ORDER)
     p_verify.add_argument("--n-max", type=int, default=8)
     p_verify.add_argument("--modes", default=",".join(MODES))
     p_verify.add_argument("--indices", default=",".join(INDICES))

@@ -1,56 +1,13 @@
 """Exact vertex and edge connectivity via unit-capacity maximum flow.
 
-One step, ``_augment``, moves every flow: one shortest augmenting path
-in the residual digraph of a flow kept as bitmasks, on out-neighbor
-bitmasks (node ``u`` has a unit arc to every bit of ``arcs[u]``).  It
-searches a whole breadth-first layer at a time, as the OR of the
-frontier's residual masks, and walks back from the sink through the
-lowest node of each stored layer that has a residual arc onward
-(Edmonds and Karp, J. ACM 1972).  ``_unit_flow`` loops it from the zero
-flow, capped at the best value known so far.  No flow runs when the
-minimum degree is at most 1: kappa <= lambda <= delta, and each is at
-least 1 iff the graph is connected.  Edge connectivity is the minimum
-over sinks ``t != 0`` of the flow from vertex 0 on the neighbor
-bitmasks.  Vertex connectivity runs its flows in one scan,
-``_vertex_scan``, which returns min(bound, kappa) and stops at a zero
-flow.  It takes the minimum over non-adjacent pairs ``(s, t)`` of the
-number of internally vertex-disjoint paths, as flows in the vertex-split
-digraph (in-node ``2v`` -> out-node ``2v + 1`` -> in-node ``2w`` per
-neighbor ``w``); the witness greedy below deletes a vertex by clearing
-its in -> out arc.  Its sources obey Even's rule (Even, SIAM J. Comput.
-1975; Esfahanian and Hakimi, Networks 1984): of the first kappa + 1
-vertices one lies outside a minimum cut ``S``, and the first such one
-has all smaller vertices in ``S``, so ``S`` separates it from a later
-vertex.  The scan therefore stops at the first source whose rank is not
-below the best value found.
-
-Witnesses are the lexicographically smallest minimum cuts, found
-greedily: a vertex (edge) joins the kept set F when removing it leaves
-connectivity exactly kappa - |F| - 1; removing any set T leaves at least
-kappa - |T|.  When kappa = 1 the vertex witness is the first cut vertex,
-found with one reachability search per candidate.  Otherwise the vertex
-greedy keeps one flow per Even pair: s among the first kappa + 1
-vertices and a later non-neighbor t.  If G - F - v has a
-cut S' of size kappa - |F| - 1, then F + v + S' has at most kappa
-vertices, so by Even's rule it separates such a pair whose source ranks
-below kappa - |F| among the live vertices of G - F - v; the pairs
-therefore serve every step, once those containing a chosen vertex are
-dropped, and a step reads only the pairs with such a source.
-Each pair keeps a flow of G - F of value at least cap = kappa - |F|, as
-vertex paths and a bitmask of their inner vertices; it is computed,
-capped at cap, in G - F - v for the first candidate v that needs it.
-Candidate v joins F iff some pair without v has a path through v that
-one augmenting search, with v's in -> out arc cleared, cannot replace
-once the path is dropped: the local connectivity in G - F - v is then
-cap - 1.  A repaired flow avoids v, so it is also a flow of G - F; a flow
-that avoids v costs nothing, and on acceptance every kept flow just
-drops its path through v.  So a candidate costs at most one search per
-pair, not a scan.  Each edge test is a single flow: while F is
-extendable, lambda(G - F) = kappa' - |F|, so a cut of size
-kappa' - |F| - 1 in G - F - uv must separate u from v (one that left them
-together would already cut G - F), and the u-v flow in G - F - uv, capped
-at kappa' - |F|, decides the candidate (Menger; Ford and Fulkerson 1956).
-Integer flows make every value exact; all functions are pure.
+``_augment`` is the one augmenting step, a shortest path on a flow kept as
+bitmasks (Edmonds and Karp, J. ACM 1972), and ``_unit_flow`` loops it from
+the zero flow.  Edge connectivity is the minimum over sinks ``t != 0`` of
+the flow from vertex 0; vertex connectivity is ``_vertex_scan``, flows
+between Even's pairs in the vertex-split digraph (``_split``).  Witnesses
+are the lexicographically smallest minimum cuts, found greedily by
+``_lex_min_vertex_cut`` and ``_lex_min_edge_cut``.  Integer flows make
+every value exact; all functions are pure.
 """
 
 from __future__ import annotations
@@ -181,7 +138,16 @@ def _split(masks: Sequence[int]) -> list[int]:
 
 def _vertex_scan(masks: Sequence[int], bound: int) -> int:
     """min(bound, kappa) of the graph of ``masks``; a complete graph, which has no
-    non-adjacent pair, reads as ``bound``."""
+    non-adjacent pair, reads as ``bound``.
+
+    kappa is the minimum over non-adjacent pairs ``(s, t)`` of the number of
+    internally vertex-disjoint s-t paths, a flow in the vertex-split digraph.
+    The sources obey Even's rule (Even, SIAM J. Comput. 1975; Esfahanian and
+    Hakimi, Networks 1984): of the first kappa + 1 vertices one lies outside
+    a minimum cut ``S``, and the first such one has all smaller vertices in
+    ``S``, so ``S`` separates it from a later vertex.  The scan therefore
+    stops at the first source whose rank is not below the best value found.
+    """
     full = (1 << len(masks)) - 1
     if bound <= 1:
         # kappa >= 1 iff the graph is connected, so no flow is needed
@@ -262,7 +228,30 @@ def _path_bits(paths: list[list[int]]) -> int:
 
 def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     """Lexicographically smallest vertex set of size kappa whose removal disconnects g
-    (none for a complete graph, which has no non-adjacent pair)."""
+    (none for a complete graph, which has no non-adjacent pair).
+
+    The greedy is exact: a vertex joins the kept set F when removing it
+    leaves connectivity exactly kappa - |F| - 1, and removing any set T
+    leaves at least kappa - |T| (``_lex_min_edge_cut`` is the same greedy on
+    edges).  It keeps one flow per Even pair: s among the first kappa + 1
+    vertices and a later non-neighbor t.  If G - F - v has a cut S' of size
+    kappa - |F| - 1, then F + v + S' has at most kappa vertices, so by
+    Even's rule (see ``_vertex_scan``) it separates such a pair whose source
+    ranks below kappa - |F| among the live vertices of G - F - v; the pairs
+    therefore serve every step, once those containing a chosen vertex are
+    dropped, and a step reads only the pairs with such a source.
+
+    Each pair keeps a flow of G - F of value at least cap = kappa - |F|, as
+    vertex paths and a bitmask of their inner vertices; it is computed,
+    capped at cap, in G - F - v for the first candidate v that needs it.
+    Candidate v joins F iff some pair without v has a path through v that
+    one augmenting search, with v's in -> out arc cleared, cannot replace
+    once the path is dropped: the local connectivity in G - F - v is then
+    cap - 1.  A repaired flow avoids v, so it is also a flow of G - F; a
+    flow that avoids v costs nothing, and on acceptance every kept flow
+    just drops its path through v.  So a candidate costs at most one search
+    per pair, not a scan.
+    """
     masks = g.neighbor_masks
     if kappa == 1:
         # the cut is one cut vertex: the first whose removal disconnects g, no flow needed
@@ -320,7 +309,14 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
 
 
 def _lex_min_edge_cut(g: Graph, kappa_p: int) -> tuple[tuple[int, int], ...]:
-    """Lexicographically smallest edge set of size kappa_p whose removal disconnects g."""
+    """Lexicographically smallest edge set of size kappa_p whose removal disconnects g.
+
+    Each edge test is a single flow: while F is extendable, lambda(G - F) =
+    kappa' - |F|, so a cut of size kappa' - |F| - 1 in G - F - uv must
+    separate u from v (one that left them together would already cut
+    G - F), and the u-v flow in G - F - uv, capped at kappa' - |F|, decides
+    the candidate (Menger; Ford and Fulkerson 1956).
+    """
     chosen: list[tuple[int, int]] = []
     masks = list(g.neighbor_masks)
     for u, v in g.edges():

@@ -35,6 +35,9 @@ __all__ = [
     "predicted_extremal",
 ]
 
+# the least order with a predicted maximizer and both rewirings, so the least order verified
+MIN_FAMILY_ORDER = 6
+
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -122,8 +125,8 @@ def predicted_extremal(n: int, c: int, mode: str = "vertex") -> Graph:
     otherwise the family member with ``r = (n - 1) // 2``."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if n < 6:
-        raise ValueError("predicted maximizers are defined for n >= 6")
+    if n < MIN_FAMILY_ORDER:
+        raise ValueError(f"predicted maximizers are defined for n >= {MIN_FAMILY_ORDER}")
     if c < 1 or c > n // 2:
         raise ValueError(f"no bipartite graph of order {n} has connectivity {c}")
     if c > (n - 1) // 2:

@@ -278,8 +278,9 @@ def connected_components(g: Graph, excluded: frozenset[int] = frozenset()) -> li
     masks = g.neighbor_masks
     alive = (1 << g.n) - 1
     for v in excluded:
-        if 0 <= v < g.n:
-            alive &= ~(1 << v)
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        alive &= ~(1 << v)
     comps = []
     remaining = alive
     while remaining:

@@ -32,11 +32,11 @@ import time
 from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import permutations, product
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, Optional
 
 from .connectivity import MODES, vertex_connectivity_value
-from .families import predicted_extremal
+from .families import MIN_FAMILY_ORDER, predicted_extremal
 from .graphs import (
     INDICES,
     Bipartition,
@@ -380,28 +380,13 @@ def _merge_cells(parts: list[dict]) -> list[tuple]:
 
 
 _sweep_cache: dict[int, list[tuple]] = {}
-_CHUNK_BITS = 12
 
 
 def _sweep_tasks(n: int) -> list[tuple[int, int, int, int]]:
-    """Split the first rows the walk can place into ``(n, p, lo, hi)``
-    ranges of about ``2**_CHUNK_BITS`` row-sorted masks each.  Columns are
-    nonincreasing with row 0 as their high bit, so the first row is
-    ``2**k - 1`` for some ``k``; the ranges start and end on such rows, and
-    the rows between two ranges reach no leaf."""
-    tasks = []
-    for p in range(1, n // 2 + 1):
-        top = 1 << (n - p)
-        lo = 1
-        size = 0
-        for first in (2**k - 1 for k in range(1, n - p + 1)):
-            # row-sorted masks whose first row is ``first``
-            size += comb(top - first + p - 2, p - 1)
-            if size >= 1 << _CHUNK_BITS or first == top - 1:
-                tasks.append((n, p, lo, first + 1))
-                lo = 2 * first + 1  # the next first row of the form 2**k - 1
-                size = 0
-    return tasks
+    """One ``(n, p, lo, hi)`` task per first row the walk can place: columns
+    are nonincreasing with row 0 as their high bit, so the first row is
+    ``2**k - 1`` for some ``k``, and the rows between reach no leaf."""
+    return [(n, p, 2**k - 1, 2**k) for p in range(1, n // 2 + 1) for k in range(1, n - p + 1)]
 
 
 class SweepTaskError(RuntimeError):
@@ -477,7 +462,7 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
 
     predicted = None
     predicted_value = None
-    if spec.n >= 6:
+    if spec.n >= MIN_FAMILY_ORDER:
         for c in values:
             if not 1 <= c <= spec.n // 2:
                 continue
@@ -486,7 +471,7 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
             if predicted is None or value > predicted_value:
                 predicted, predicted_value = graph, value
     else:
-        note = "no prediction below order 6"
+        note = f"no prediction below order {MIN_FAMILY_ORDER}"
     predicted_graph = None if predicted is None else encode_graph6(predicted).decode("ascii")
 
     maximizers = _dedup_isomorphic([masks for _, _, found, masks in members if found[i] == best])

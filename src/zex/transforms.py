@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import FamilyParams, _blowup
+from .families import MIN_FAMILY_ORDER, FamilyParams, _blowup
 from .graphs import Graph
 
 __all__ = [
@@ -96,8 +96,8 @@ def case1_rewire(p: FamilyParams) -> Graph:
     Requires ``n >= 6`` and ``2r <= n - 4`` (so at least one other core-A
     vertex exists and both indices strictly increase).
     """
-    if p.n < 6:
-        raise ValueError("case 1 rewiring requires n >= 6")
+    if p.n < MIN_FAMILY_ORDER:
+        raise ValueError(f"case 1 rewiring requires n >= {MIN_FAMILY_ORDER}")
     if 2 * p.r > p.n - 4:
         raise ValueError(f"case 1 rewiring requires 2r <= n - 4, got r={p.r}, n={p.n}")
     # classes v, C, A' (core A less its last vertex), a_last, B; a_last is joined to A' alone
@@ -112,8 +112,8 @@ def case2_rewire(p: FamilyParams) -> Graph:
     vertices).  The first index increases by exactly ``k(2 + 4r - 2n)``
     and the second by ``(2r - n + 1) k^2``.
     """
-    if p.n < 6:
-        raise ValueError("case 2 rewiring requires n >= 6")
+    if p.n < MIN_FAMILY_ORDER:
+        raise ValueError(f"case 2 rewiring requires n >= {MIN_FAMILY_ORDER}")
     if 2 * p.r <= p.n:
         raise ValueError(f"case 2 rewiring requires 2r > n, got r={p.r}, n={p.n}")
     if p.a_count < p.k:

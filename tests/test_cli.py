@@ -185,6 +185,46 @@ class TestVerifyCommand:
         assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 2
         assert "ZEX_THREADS" in capsys.readouterr().err
 
+    def test_negative_env_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("ZEX_THREADS", "-1")
+        assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_env_zero_is_one_worker_per_cpu(self, tmp_path, monkeypatch, capsys):
+        import concurrent.futures
+        import os
+
+        import zex.search as search_module
+
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        serial, pooled = tmp_path / "s.json", tmp_path / "p.json"
+        monkeypatch.delenv("ZEX_THREADS", raising=False)
+        main(["verify", "--n-min", "6", "--n-max", "6", "--out", str(serial)])
+        serial_out = capsys.readouterr().out
+        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("ZEX_THREADS", "0")
+        assert main(["verify", "--n-min", "6", "--n-max", "6", "--out", str(pooled)]) == 0
+        assert started == [2]
+        assert capsys.readouterr().out == serial_out
+        ps, pp = json.loads(serial.read_text()), json.loads(pooled.read_text())
+        assert _strip_elapsed(ps["cells"]) == _strip_elapsed(pp["cells"])
+
     @pytest.mark.parametrize("flag,names", [("--modes", "vertex,vertex"), ("--indices", "M1,M2,M1")])
     def test_rejects_repeated_names(self, flag, names, capsys):
         assert main(["verify", "--n-min", "6", "--n-max", "6", flag, names]) == 2

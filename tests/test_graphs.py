@@ -154,8 +154,12 @@ class TestConnectedComponents:
     def test_empty_graph(self):
         assert connected_components(Graph(0)) == []
 
-    def test_labels_outside_the_graph_are_ignored(self):
-        assert connected_components(P4, frozenset({-1, 2, 7})) == [[0, 1], [3]]
+    def test_labels_outside_the_graph_are_rejected(self):
+        # once silently dropped, so a set with a stray label read as the set without it
+        for bad in (-1, 7):
+            with pytest.raises(ValueError) as exc:
+                connected_components(P4, frozenset({2, bad}))
+            assert str(exc.value) == f"vertex {bad} out of range for n=4"
 
     @settings(max_examples=200, derandomize=True)
     @given(graphs(max_n=9), st.data())

@@ -337,12 +337,10 @@ def _flat_chunk(n, p, lo, hi):
 
 
 def _flat_sweep(n):
-    """The flat walk over every sweep task, merged by max-with-tie-union."""
-    from zex.search import _sweep_tasks
-
+    """The flat walk over every first row of every part size, merged by max-with-tie-union."""
     merged = {}
-    for task in _sweep_tasks(n):
-        for key, (count, by_index) in _flat_chunk(*task).items():
+    for p in range(1, n // 2 + 1):
+        for key, (count, by_index) in _flat_chunk(n, p, 1, 1 << (n - p)).items():
             cell = merged.setdefault(key, [0, {"M1": [-1, []], "M2": [-1, []]}])
             cell[0] += count
             for index, (best, ties) in by_index.items():
@@ -516,7 +514,7 @@ def _masks_of(rows, q):
 
 
 class TestPoolSize:
-    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 7)])
+    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 26)])
     def test_workers_bounded_by_cpus_and_tasks(self, monkeypatch, cpus, expected):
         import concurrent.futures
         import os
@@ -541,7 +539,7 @@ class TestPoolSize:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(search_module, "_sweep_cache", {})
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert len(search_module._sweep_tasks(9)) == 7
+        assert len(search_module._sweep_tasks(9)) == 26
         search_module._sweep(9, workers=10_000)
         assert started == [expected]
 
@@ -702,7 +700,7 @@ class TestSweepTaskError:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
-        with pytest.raises(search_module.SweepTaskError, match=r"\(6, 1, 1, 32\)"):
+        with pytest.raises(search_module.SweepTaskError, match=r"\(6, 1, 1, 2\)"):
             search_module._sweep(6, workers=2)
 
     def test_error_survives_pickling(self):
@@ -720,7 +718,7 @@ class TestSweepTaskError:
         assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(
-            "internal error: SweepTaskError: sweep task (n, p, lo, hi) = (6, 1, 1, 32) failed"
+            "internal error: SweepTaskError: sweep task (n, p, lo, hi) = (6, 1, 1, 2) failed"
         )
 
 
@@ -781,6 +779,12 @@ class TestCutComponentProfile:
     def test_rejects_disconnected_graph(self):
         with pytest.raises(ValueError, match="connected"):
             cut_component_profile(Graph(4, [(0, 1), (2, 3)]), frozenset({0}))
+
+    @pytest.mark.parametrize("bad", [99, -1])
+    def test_rejects_vertices_outside_the_graph(self, bad):
+        # once dropped, so {1, 99} and {1, -1} each read as a cut of the path
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=4"):
+            cut_component_profile(P4, frozenset({1, bad}))
 
 
 class TestCanonicalForm:

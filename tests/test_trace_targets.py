@@ -77,13 +77,14 @@ def test_traced_sweep_counts_every_kernel(tmp_path):
 
     # order 7 is the first whose sweep needs the edge kernel (kappa < delta). The walk
     # visits the row-sorted tuples (nondecreasing nonzero rows of q = 7 - p bits) whose
-    # columns, read with row 0 as the high bit, are nonincreasing and nonzero, and it
-    # classifies one tuple per connected class of each task
-    leaves = connected = classes = 0
+    # columns, read with row 0 as the high bit, are nonincreasing and nonzero. The serial
+    # sweep passes one class table through its tasks, so it classifies one tuple per
+    # connected class of each part size
+    leaves = connected = 0
+    seen = set()
     tasks = _sweep_tasks(7)
     for n, p, lo, hi in tasks:
         q = n - p
-        seen = set()
         for first in range(lo, hi):
             for rest in combinations_with_replacement(range(first, 1 << q), p - 1):
                 rows = (first, *rest)
@@ -93,15 +94,14 @@ def test_traced_sweep_counts_every_kernel(tmp_path):
                 leaves += 1
                 if _connected(rows, p, q):
                     connected += 1
-                    seen.add(row_and_column_class(rows, q))
-        classes += len(seen)
-    assert (leaves, connected, classes) == (90, 65, 44)
+                    seen.add((p, row_and_column_class(rows, q)))
+    assert (leaves, connected, len(seen)) == (90, 65, 44)
     assert calls("search._sweep_chunk") == len(tasks)
     assert calls("search._bipartite_masks") == leaves
     assert results["search._bipartite_masks"].get("isolated", 0) == 0
     assert calls("search._connected_masks") == leaves
     assert results["search._connected_masks"].get("disconnected", 0) == leaves - connected
-    assert calls("search._kappa_masks") == classes
+    assert calls("search._kappa_masks") == len(seen)
     assert 0 < calls("search._kappa_prime_masks") < calls("search._kappa_masks")
     for name in ("search._dedup_isomorphic", "search.canonical_form",
                  "families.predicted_extremal", "graphs.m1", "graphs.m2", "cli.cmd_verify"):
