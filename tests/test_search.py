@@ -514,8 +514,14 @@ def _masks_of(rows, q):
 
 
 class TestPoolSize:
-    @pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 26)])
-    def test_workers_bounded_by_cpus_and_tasks(self, monkeypatch, cpus, expected):
+    # (cpus, order, pool size): 4 cpus cap the 26 order-9 tasks; 64 cpus leave the
+    # order-5 sweep at its 7 tasks and the order-9 sweep at its 26; ids read cpus-pool size
+    @pytest.mark.parametrize(
+        "cpus, n, expected",
+        [(4, 9, 4), (64, 5, 7), (64, 9, 26)],
+        ids=["4-4", "64-7", "64-26"],
+    )
+    def test_workers_bounded_by_cpus_and_tasks(self, monkeypatch, cpus, n, expected):
         import concurrent.futures
         import os
 
@@ -539,8 +545,8 @@ class TestPoolSize:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(search_module, "_sweep_cache", {})
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert len(search_module._sweep_tasks(9)) == 26
-        search_module._sweep(9, workers=10_000)
+        assert len(search_module._sweep_tasks(n)) == {5: 7, 9: 26}[n]
+        search_module._sweep(n, workers=10_000)
         assert started == [expected]
 
     def test_single_worker_starts_no_pool(self, monkeypatch):
