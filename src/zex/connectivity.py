@@ -1,11 +1,15 @@
 """Exact vertex and edge connectivity via unit-capacity maximum flow.
 
 ``_augment`` is the one augmenting step, a shortest path on a flow kept as
-bitmasks (Edmonds and Karp, J. ACM 1972), and ``_unit_flow`` loops it from
-the zero flow.  Edge connectivity is the minimum over sinks ``t != 0`` of
-the flow from vertex 0; vertex connectivity is ``_vertex_scan``, flows
-between Even's pairs in the vertex-split digraph (``_split``).  Witnesses
-are the lexicographically smallest minimum cuts, found greedily by
+bitmasks (Edmonds and Karp, J. ACM 1972); ``_unit_flow`` loops it from the
+zero flow of any digraph.  The connectivity flows (``_vertex_flow``,
+``_edge_flow`` and the witness greedy's ``_augmented``) start instead from
+``_short_paths``, disjoint paths of at most three edges read off the
+neighbor masks, so in dense graphs most of them end without a search.
+Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
+vertex 0; vertex connectivity is ``_vertex_scan``, flows between Even's
+pairs in the vertex-split digraph (``_split``).  Witnesses are the
+lexicographically smallest minimum cuts, found greedily by
 ``_lex_min_vertex_cut`` and ``_lex_min_edge_cut``.  Integer flows make
 every value exact; all functions are pure.
 """
@@ -115,14 +119,96 @@ def _unit_flow(arcs: Sequence[int], s: int, t: int, cutoff: int) -> int:
     return flow
 
 
+def _short_paths(arcs: Sequence[int], s: int, t: int, cap: int, off: int) -> list[list[int]]:
+    """Up to ``cap`` internally vertex-disjoint s-t paths of at most three edges, as
+    lists of their inner vertices, packed greedily: the edge st, then the common
+    neighbors of s and t, then for each other neighbor a of s the lowest free
+    neighbor b of t adjacent to a.
+
+    ``off`` is 1 for the vertex-split digraph, where vertex w enters at node
+    ``2w`` and leaves at ``2w + 1``, and 0 for the graph's own masks, where
+    both are node w.  Only live vertices are used: those whose entry node
+    has an arc.  In the split that is the in -> out arc, which the witness
+    greedy clears; in the graph every neighbor of s or t has one.
+
+    Disjoint paths are a feasible unit flow in both digraphs, and augmenting
+    from any feasible flow reaches the maximum (Ford and Fulkerson 1956), so
+    a flow seeded here keeps its exact value, and with it every decision of
+    the witness greedies.  Dense graphs mostly reach the cap here and need
+    no search at all.
+    """
+    src, dst = s << off, t << off
+    ns, nt = arcs[src | off], arcs[dst | off]
+    paths: list[list[int]] = [[]] if ns >> dst & 1 and cap > 0 else []
+    need = cap - len(paths)
+    common = ns & nt
+    while common and need:
+        low = common & -common
+        x = low.bit_length() - 1
+        if arcs[x]:
+            paths.append([x >> off])
+            need -= 1
+        common ^= low
+    # the a's miss t's neighbors and the b's miss s's, so the two sides never meet
+    rest = ns & ~nt & ~(1 << dst)
+    free = nt & ~ns & ~(1 << src)
+    while rest and free and need:
+        low = rest & -rest
+        a = low.bit_length() - 1
+        rest ^= low
+        if not arcs[a]:
+            continue
+        ends = arcs[a | off] & free
+        while ends:
+            low = ends & -ends
+            free ^= low
+            b = low.bit_length() - 1
+            if arcs[b]:
+                paths.append([a >> off, b >> off])
+                need -= 1
+                break
+            ends ^= low
+    return paths
+
+
+def _loaded(
+    arcs: Sequence[int], s: int, t: int, paths: list[list[int]], off: int
+) -> tuple[list[int], list[int]]:
+    """``(fwd, back)`` of the unit flow along ``paths`` (inner vertices, laid out as
+    in ``_short_paths``)."""
+    fwd = [0] * len(arcs)
+    back = [0] * len(arcs)
+    for path in paths:
+        u = s << off | off
+        for w in path:
+            x = w << off
+            fwd[u] |= 1 << x
+            back[x] |= 1 << u
+            if off:
+                fwd[x] |= 1 << x + 1
+                back[x + 1] |= 1 << x
+            u = x | off
+        fwd[u] |= 1 << (t << off)
+        back[t << off] |= 1 << u
+    return fwd, back
+
+
 def _vertex_flow(split: Sequence[int], s: int, t: int, cutoff: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths, capped at cutoff."""
-    return _unit_flow(split, 2 * s + 1, 2 * t, cutoff)
+    """Max number of internally vertex-disjoint s-t paths, capped at cutoff, in the
+    vertex-split digraph ``split``."""
+    return len(_augmented(split, s, t, [], cutoff))
 
 
 def _edge_flow(masks: Sequence[int], s: int, t: int, cutoff: int) -> int:
-    """Max number of edge-disjoint s-t paths, capped at cutoff."""
-    return _unit_flow(masks, s, t, cutoff)
+    """Max number of edge-disjoint s-t paths, capped at cutoff: the ``_short_paths``
+    seed, then augmenting searches."""
+    paths = _short_paths(masks, s, t, cutoff, 0)
+    flow = len(paths)
+    if flow < cutoff:
+        fwd, back = _loaded(masks, s, t, paths, 0)
+        while flow < cutoff and _augment(masks, fwd, back, s, t):
+            flow += 1
+    return flow
 
 
 def _split(masks: Sequence[int]) -> list[int]:
@@ -141,7 +227,8 @@ def _vertex_scan(masks: Sequence[int], bound: int) -> int:
     non-adjacent pair, reads as ``bound``.
 
     kappa is the minimum over non-adjacent pairs ``(s, t)`` of the number of
-    internally vertex-disjoint s-t paths, a flow in the vertex-split digraph.
+    internally vertex-disjoint s-t paths, a flow in the vertex-split digraph
+    (``_vertex_flow``, seeded by ``_short_paths``).
     The sources obey Even's rule (Even, SIAM J. Comput. 1975; Esfahanian and
     Hakimi, Networks 1984): of the first kappa + 1 vertices one lies outside
     a minimum cut ``S``, and the first such one has all smaller vertices in
@@ -189,19 +276,14 @@ def _augmented(
     split: Sequence[int], s: int, t: int, paths: list[list[int]], cap: int
 ) -> list[list[int]]:
     """Internally vertex-disjoint s-t paths (inner vertices only) of a flow that
-    extends the one of ``paths`` by augmenting searches, up to ``cap`` paths."""
-    fwd = [0] * len(split)
-    back = [0] * len(split)
-    for path in paths:
-        u = 2 * s + 1
-        for w in path:
-            for x, y in ((u, 2 * w), (2 * w, 2 * w + 1)):
-                fwd[x] |= 1 << y
-                back[y] |= 1 << x
-            u = 2 * w + 1
-        fwd[u] |= 1 << 2 * t
-        back[2 * t] |= 1 << u
+    extends the one of ``paths``, or of ``_short_paths`` when ``paths`` is
+    empty, by augmenting searches, up to ``cap`` paths."""
+    if not paths:
+        paths = _short_paths(split, s, t, cap, 1)
     flow = len(paths)
+    if flow >= cap:
+        return paths
+    fwd, back = _loaded(split, s, t, paths, 1)
     while flow < cap and _augment(split, fwd, back, 2 * s + 1, 2 * t):
         flow += 1
     if flow == len(paths):

@@ -18,6 +18,7 @@ from zex import (
     is_connected,
     is_k_connected,
     min_degree,
+    predicted_extremal,
     vertex_connectivity,
     vertex_connectivity_value,
 )
@@ -109,14 +110,14 @@ class TestMinDegreeAtMostOne:
         rng = random.Random(DEFAULT_SEED)
         tree = Graph(300, [(v, rng.randrange(v)) for v in range(1, 300)])
         path = Graph(300, [(v, v + 1) for v in range(299)])
-        flow = connectivity._unit_flow
         flows = []
+        for name in ("_vertex_flow", "_edge_flow"):
 
-        def recording(arcs, s, t, cutoff):
-            flows.append((s, t))
-            return flow(arcs, s, t, cutoff)
+            def recording(arcs, s, t, cutoff, flow=getattr(connectivity, name)):
+                flows.append((s, t))
+                return flow(arcs, s, t, cutoff)
 
-        monkeypatch.setattr(connectivity, "_unit_flow", recording)
+            monkeypatch.setattr(connectivity, name, recording)
         for g in (tree, path):
             assert vertex_connectivity_value(g) == edge_connectivity_value(g) == 1
             assert is_k_connected(g, 1)
@@ -309,6 +310,34 @@ class TestWitnesses:
             tracemalloc.stop()
         # kept flows are vertex paths, not per-pair flow bitmask lists
         assert peak < 2_000_000
+
+
+class TestShortPathSeed:
+    # dense bipartite pairs are joined by enough disjoint paths of length 2 or 3 that
+    # the seeded flows end without a search; the witnesses search at most once per cut member
+    @pytest.mark.parametrize(
+        "g",
+        [complete_bipartite(10, 10), complete_bipartite(6, 9), predicted_extremal(30, 14)],
+        ids=["K10,10", "K6,9", "predicted-30-14"],
+    )
+    def test_dense_flows_end_without_a_search(self, g, monkeypatch):
+        from zex import connectivity
+
+        augment = connectivity._augment
+        searches = []
+
+        def recording(arcs, fwd, back, s, t):
+            searches.append((s, t))
+            return augment(arcs, fwd, back, s, t)
+
+        monkeypatch.setattr(connectivity, "_augment", recording)
+        assert vertex_connectivity_value(g) and edge_connectivity_value(g)
+        assert searches == []
+        for connectivity_with_witness in (vertex_connectivity, edge_connectivity):
+            value, witness = connectivity_with_witness(g)
+            assert len(witness.members) == value
+            assert len(searches) <= value
+            searches.clear()
 
 
 class TestEvenSourceBound:

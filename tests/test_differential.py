@@ -4,11 +4,12 @@
 import json
 import random
 from collections import deque
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from conftest import DEFAULT_SEED, random_connected_bipartite, random_graph
+from conftest import DEFAULT_SEED, random_bipartite, random_connected_bipartite, random_graph
 from zex import (
     FamilyParams,
     Graph,
@@ -25,7 +26,14 @@ from zex import (
     vertex_connectivity,
     vertex_connectivity_value,
 )
-from zex.connectivity import _augment, _lex_min_vertex_cut, _split, _unit_flow
+from zex.connectivity import (
+    _augment,
+    _edge_flow,
+    _lex_min_vertex_cut,
+    _split,
+    _unit_flow,
+    _vertex_flow,
+)
 from zex.graphs import _vertex_cuts
 
 nx = pytest.importorskip("networkx")
@@ -224,3 +232,42 @@ def test_unit_flow_kernel_matches_networkx_maximum_flow():
         assert flow == expected and dist is None
         assert (fwd, back) == before
     assert cancelled >= 60
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "general"])
+def test_seeded_local_flows_match_networkx(kind):
+    # the short-path seed is the one new way for a flow to go wrong: its paths must be
+    # disjoint and live.  With triangles, common neighbors and length-3 paths compete
+    # for the same vertices.
+    from networkx.algorithms import connectivity as nxc
+
+    rng = random.Random(DEFAULT_SEED)
+    make = random_bipartite if kind == "bipartite" else random_graph
+    for _ in range(40):
+        n = rng.randint(2, 14)
+        g = make(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        masks, h = list(g.neighbor_masks), to_nx(g)
+        split = _split(masks)
+        node_aux = nxc.build_auxiliary_node_connectivity(h)
+        edge_aux = nxc.build_auxiliary_edge_connectivity(h)
+        for s, t in combinations(range(n), 2):
+            cap = rng.randint(1, n)
+            lam = nxc.local_edge_connectivity(h, s, t, auxiliary=edge_aux)
+            assert _edge_flow(masks, s, t, n) == _edge_flow(masks, t, s, n) == lam, (g, s, t)
+            assert _edge_flow(masks, s, t, cap) == min(cap, lam), (g, s, t, cap)
+            if not g.has_edge(s, t):
+                kappa = nxc.local_node_connectivity(h, s, t, auxiliary=node_aux)
+                both = _vertex_flow(split, s, t, n), _vertex_flow(split, t, s, n)
+                assert both == (kappa, kappa), (g, s, t)
+                assert _vertex_flow(split, s, t, cap) == min(cap, kappa), (g, s, t, cap)
+        # dead vertices, as in the witness greedy: the in -> out arc is cleared, the rest kept
+        dead = set(rng.sample(range(n), rng.randint(0, n - 2)))
+        for v in dead:
+            split[2 * v] = 0
+        h.remove_nodes_from(dead)
+        node_aux = nxc.build_auxiliary_node_connectivity(h)
+        for s, t in combinations(sorted(h), 2):
+            if not g.has_edge(s, t):
+                kappa = nxc.local_node_connectivity(h, s, t, auxiliary=node_aux)
+                both = _vertex_flow(split, s, t, n), _vertex_flow(split, t, s, n)
+                assert both == (kappa, kappa), (g, dead, s, t)
