@@ -1,10 +1,9 @@
 """Exact vertex and edge connectivity via unit-capacity maximum flow.
 
 ``_augment`` is the one augmenting step, a shortest path on a flow kept as
-bitmasks (Edmonds and Karp, J. ACM 1972); ``_unit_flow`` loops it from the
-zero flow of any digraph.  The connectivity flows (``_vertex_flow``,
-``_edge_flow`` and the witness greedy's ``_augmented``) start instead from
-``_short_paths``, disjoint paths of at most three edges read off the
+bitmasks (Edmonds and Karp, J. ACM 1972).  The connectivity flows
+(``_vertex_flow``, ``_edge_flow`` and the witness greedy's ``_augmented``)
+start from ``_short_paths``, disjoint paths of at most three edges read off the
 neighbor masks, so in dense graphs most of them end without a search.
 Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
 vertex 0; vertex connectivity is ``_vertex_scan``, flows between Even's
@@ -106,17 +105,6 @@ def _augment(arcs: Sequence[int], fwd: list[int], back: list[int], s: int, t: in
             layer ^= low
         v = u
     return True
-
-
-def _unit_flow(arcs: Sequence[int], s: int, t: int, cutoff: int) -> int:
-    """Max s-t flow, capped at ``cutoff``, in the digraph with a unit arc ``u -> v``
-    for every bit ``v`` of ``arcs[u]``: augmenting searches from the zero flow."""
-    fwd = [0] * len(arcs)
-    back = [0] * len(arcs)
-    flow = 0
-    while flow < cutoff and _augment(arcs, fwd, back, s, t):
-        flow += 1
-    return flow
 
 
 def _short_paths(arcs: Sequence[int], s: int, t: int, cap: int, off: int) -> list[list[int]]:

@@ -317,8 +317,26 @@ class TestShortPathSeed:
     # the seeded flows end without a search; the witnesses search at most once per cut member
     @pytest.mark.parametrize(
         "g",
-        [complete_bipartite(10, 10), complete_bipartite(6, 9), predicted_extremal(30, 14)],
-        ids=["K10,10", "K6,9", "predicted-30-14"],
+        [
+            complete_bipartite(10, 10),
+            complete_bipartite(6, 9),
+            predicted_extremal(30, 14),
+            predicted_extremal(10, 2),
+            predicted_extremal(20, 3),
+            predicted_extremal(20, 9),
+            predicted_extremal(40, 7),
+            predicted_extremal(20, 5, "edge"),
+        ],
+        ids=[
+            "K10,10",
+            "K6,9",
+            "predicted-30-14",
+            "predicted-10-2",
+            "predicted-20-3",
+            "predicted-20-9",
+            "predicted-40-7",
+            "predicted-edge-20-5",
+        ],
     )
     def test_dense_flows_end_without_a_search(self, g, monkeypatch):
         from zex import connectivity

@@ -31,7 +31,6 @@ from zex.connectivity import (
     _edge_flow,
     _lex_min_vertex_cut,
     _split,
-    _unit_flow,
     _vertex_flow,
 )
 from zex.graphs import _vertex_cuts
@@ -210,7 +209,6 @@ def test_unit_flow_kernel_matches_networkx_maximum_flow():
         h.add_nodes_from(range(n))
         h.add_edges_from(((u, v) for u in range(n) for v in range(n) if arcs[u] >> v & 1), capacity=1)
         expected = nx.maximum_flow_value(h, s, t)
-        assert _unit_flow(arcs, s, t, n * n) == expected, (arcs, s, t)
         fwd, back = [0] * n, [0] * n
         flow = 0
         while True:
