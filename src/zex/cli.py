@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 from .connectivity import MODES, edge_connectivity, vertex_connectivity
 from .families import (
@@ -37,32 +37,9 @@ from .graphs import (
     m2,
     read_graph_file,
 )
-from .search import MAX_SWEEP_ORDER, SearchReport, SearchSpec, search_max
+from .search import MAX_SWEEP_ORDER, SearchSpec, search_max
 
 _CSV_COLUMNS = ("n", "mode", "c", "index", "max", "predicted", "match", "num_maximizers")
-
-
-@dataclass(frozen=True)
-class VerifyRunConfig:
-    """Grid of verification cells: order range, modes and indices."""
-
-    n_min: int
-    n_max: int
-    modes: tuple[str, ...] = MODES
-    indices: tuple[str, ...] = INDICES
-
-    def __post_init__(self):
-        if not MIN_FAMILY_ORDER <= self.n_min <= self.n_max <= MAX_SWEEP_ORDER:
-            raise ValueError(
-                f"verification orders must satisfy {MIN_FAMILY_ORDER} <= n_min <= "
-                f"n_max <= {MAX_SWEEP_ORDER}"
-            )
-        for kind, names, known in (("mode", self.modes, MODES), ("index", self.indices, INDICES)):
-            for i, name in enumerate(names):
-                if name not in known:
-                    raise ValueError(f"unknown {kind} {name!r}")
-                if name in names[:i]:
-                    raise ValueError(f"repeated {kind} {name!r}")
 
 
 def _workers_from_env() -> int:
@@ -148,26 +125,27 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_cells(config: VerifyRunConfig, workers: int) -> list[SearchReport]:
-    reports = []
-    for n in range(config.n_min, config.n_max + 1):
-        for mode in config.modes:
-            for c in range(1, n // 2 + 1):
-                for index in config.indices:
-                    spec = SearchSpec(n, mode, c, index)
-                    reports.append(search_max(spec, workers=workers))
-    reports.sort(key=lambda r: (r.spec.n, r.spec.mode, r.spec.c, r.spec.index))
-    return reports
+def _verify_grid(args: argparse.Namespace) -> list[SearchSpec]:
+    """The ``verify`` cells in report order: by order, mode, ``c`` and index.
+    Unknown names are left to ``SearchSpec``."""
+    if not MIN_FAMILY_ORDER <= args.n_min <= args.n_max <= MAX_SWEEP_ORDER:
+        raise ValueError(
+            f"verification orders must satisfy {MIN_FAMILY_ORDER} <= n_min <= "
+            f"n_max <= {MAX_SWEEP_ORDER}"
+        )
+    modes, indices = args.modes.split(","), args.indices.split(",")
+    for kind, names in (("mode", modes), ("index", indices)):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"repeated {kind} {name!r}")
+    return [SearchSpec(n, mode, c, index) for n in range(args.n_min, args.n_max + 1)
+            for mode in sorted(modes) for c in range(1, n // 2 + 1) for index in sorted(indices)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = VerifyRunConfig(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        modes=tuple(args.modes.split(",")),
-        indices=tuple(args.indices.split(",")),
-    )
-    reports = _verify_cells(config, _workers_from_env())
+    cells = _verify_grid(args)
+    workers = _workers_from_env()
+    reports = [search_max(spec, workers=workers) for spec in cells]
     nonempty = [r for r in reports if r.max_value is not None]
     all_match = all(r.matches for r in nonempty)
     for r in reports:

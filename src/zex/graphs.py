@@ -378,7 +378,8 @@ def decode_graph6(data: bytes) -> Graph:
         raise GraphFormatError(f"invalid graph6 size byte {head}", base)
     n = head - 63
     body = data[1:]
-    need = (n * (n - 1) // 2 + 5) // 6
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
     if len(body) < need:
         raise GraphFormatError(
             f"graph6 body too short: need {need} characters, got {len(body)}",
@@ -389,21 +390,19 @@ def decode_graph6(data: bytes) -> Graph:
             f"graph6 body too long: need {need} characters, got {len(body)}",
             base + 1 + need,
         )
-    edges = []
-    # the upper-triangle pairs in body order, drawn one per bit; None marks padding
-    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    value = 0
     for i, ch in enumerate(body):
         if not 63 <= ch <= 126:
             raise GraphFormatError(f"invalid graph6 character {ch}", base + 1 + i)
-        group = ch - 63
-        for b in range(5, -1, -1):
-            pair = next(pairs, None)
-            if group >> b & 1:
-                if pair is None:
-                    raise GraphFormatError(
-                        "nonzero padding bits in graph6 body", base + 1 + i
-                    )
-                edges.append(pair)
+        value = value << 6 | ch - 63
+    pad = 6 * need - total
+    if value & ((1 << pad) - 1):
+        # the padding bits all lie in the last character
+        raise GraphFormatError("nonzero padding bits in graph6 body", base + need)
+    # bit x_{u,v} (u < v) of the body is character v(v-1)/2 + u of ``bits``
+    bits = format(value >> pad, f"0{total}b")
+    edges = [(u, v) for v in range(1, n)
+             for u, bit in enumerate(bits[v * (v - 1) // 2:v * (v + 1) // 2]) if bit == "1"]
     return Graph(n, edges)
 
 

@@ -18,8 +18,8 @@ weighted by ``p! q! / |Aut|``, its number of labeled patterns, so counts
 and maxima are those of the labeled enumeration.  The sweep returns one
 record per class, and each ``search_max`` cell is a query over them.  A
 serial sweep passes one class table through all its tasks; worker
-processes fill a table per task, and ``_merge_cells`` unions them in task
-order, so reports do not depend on the worker count.
+processes fill a table per task, which ``_merge_cells`` unions in task
+order as each arrives, so reports do not depend on the worker count.
 
 Scale caps: full sweeps support ``n <= 10``; the canonical form supports
 ``n <= 16``.
@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import permutations, product
 from math import factorial
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .connectivity import MODES, vertex_connectivity_value
 from .families import MIN_FAMILY_ORDER, predicted_extremal
@@ -186,12 +186,10 @@ def _place_row(masks: list[int], p: int, i: int, row: int) -> list[int]:
     return masks
 
 
-def _bipartite_masks(p: int, carried: list[int], row: int) -> Optional[list[int]]:
+def _bipartite_masks(p: int, carried: list[int], row: int) -> list[int]:
     """Neighbor bitmasks of the graph whose rows ``0..p-2`` are placed in
-    ``carried`` (see ``_place_row``) and whose last row is ``row``, or None
-    when some vertex is isolated (such graphs never reach connectivity >= 1)."""
-    masks = _place_row(carried, p, p - 1, row)
-    return None if 0 in masks else masks
+    ``carried`` (see ``_place_row``) and whose last row is ``row``."""
+    return _place_row(carried, p, p - 1, row)
 
 
 def _connectivity(masks: list[int], n: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -207,11 +205,11 @@ def _connectivity(masks: list[int], n: int) -> tuple[tuple[int, int], tuple[int,
 
 def _classify(n: int, p: int, carried: list[int], row: int) -> Optional[tuple]:
     """``(masks, (kappa, kappa_prime), (M1, M2))`` of the bipartite graph
-    decoded by ``_bipartite_masks``, or None when it has an isolated vertex
-    or is disconnected."""
+    decoded by ``_bipartite_masks``, or None when it is disconnected (an
+    isolated vertex included)."""
     masks = _bipartite_masks(p, carried, row)
     full = (1 << n) - 1
-    if masks is None or _reach(masks, 1, full) != full:
+    if _reach(masks, 1, full) != full:
         return None
     return (masks, *_connectivity(masks, n))
 
@@ -369,9 +367,10 @@ def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None
     return classes
 
 
-def _merge_cells(parts: list[dict]) -> list[tuple]:
-    """The records of the union of the task tables, in task order, so a
-    class found by two tasks counts once."""
+def _merge_cells(parts: Iterable[dict]) -> list[tuple]:
+    """The records of the union of the task tables, merged in task order as
+    ``parts`` yields them, so a class found by two tasks counts once and no
+    table is kept once it is merged."""
     classes: dict[tuple[int, tuple[int, ...]], tuple] = {}
     for part in parts:
         for key, record in part.items():
@@ -403,8 +402,10 @@ def _run_task(task: tuple[int, int, int, int], *classes: dict) -> dict:
 
 
 def _sweep(n: int, workers: int = 1) -> list[tuple]:
-    """The class records of the full order-``n`` sweep (see ``_sweep_chunk``).
-    Only the latest order is cached, as callers walk orders in turn."""
+    """The class records of the full order-``n`` sweep (see ``_sweep_chunk``):
+    a serial sweep fills one table, and a pooled one hands each task table to
+    ``_merge_cells`` as it arrives.  Only the latest order is cached, as
+    callers walk orders in turn."""
     _check_sweep_order(n)
     cached = _sweep_cache.get(n)
     if cached is not None:
@@ -415,13 +416,13 @@ def _sweep(n: int, workers: int = 1) -> list[tuple]:
         from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_task, tasks))
+            result = _merge_cells(pool.map(_run_task, tasks))
     else:
-        # one table: the first task starts it, and a class that a later task meets again is skipped
-        parts = [_run_task(tasks[0])]
-        for task in tasks[1:]:
-            _run_task(task, parts[0])
-    result = _merge_cells(parts)
+        # one table, so a class that a later task meets again is skipped
+        classes: dict = {}
+        for task in tasks:
+            _run_task(task, classes)
+        result = list(classes.values())
     _sweep_cache.clear()
     _canonical.cache_clear()
     _sweep_cache[n] = result

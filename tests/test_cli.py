@@ -17,7 +17,9 @@ from zex import (
     read_graph_file,
     search_max,
 )
-from zex.cli import VerifyRunConfig, main
+from zex.cli import main
+from zex.families import MIN_FAMILY_ORDER
+from zex.search import MAX_SWEEP_ORDER
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -162,12 +164,18 @@ class TestVerifyCommand:
         assert main(["verify", "--n-min", "6", "--n-max", "12"]) == 2
         assert "n_max" in capsys.readouterr().err
 
-    def test_cells_sorted_by_spec(self, tmp_path):
-        out = tmp_path / "verify.json"
-        main(["verify", "--n-min", "6", "--n-max", "6", "--out", str(out)])
-        cells = json.loads(out.read_text())["cells"]
+    def test_cells_sorted_by_spec(self, tmp_path, capsys):
+        # the cells come in (n, mode, c, index) order, whatever order the names are given in
+        default, reversed_names = tmp_path / "default.json", tmp_path / "reversed.json"
+        main(["verify", "--n-min", "6", "--n-max", "7", "--out", str(default)])
+        default_out = capsys.readouterr().out
+        main(["verify", "--n-min", "6", "--n-max", "7", "--modes", "edge,vertex",
+              "--indices", "M2,M1", "--out", str(reversed_names)])
+        assert capsys.readouterr().out == default_out
+        cells = json.loads(default.read_text())["cells"]
         keys = [(c["spec"]["n"], c["spec"]["mode"], c["spec"]["c"], c["spec"]["index"]) for c in cells]
         assert keys == sorted(keys)
+        assert _strip_elapsed(json.loads(reversed_names.read_text())["cells"]) == _strip_elapsed(cells)
 
     def test_env_worker_count(self, tmp_path, monkeypatch):
         serial, threaded = tmp_path / "s.json", tmp_path / "t.json"
@@ -231,18 +239,24 @@ class TestVerifyCommand:
         assert "repeated" in capsys.readouterr().err
 
 
-class TestVerifyRunConfig:
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            VerifyRunConfig(5, 6)
-        with pytest.raises(ValueError):
-            VerifyRunConfig(6, 12)
-        with pytest.raises(ValueError):
-            VerifyRunConfig(8, 7)
+class TestVerifyGrid:
+    def test_rejects_bad_range(self, capsys):
+        for n_min, n_max in ((5, 6), (6, 12), (8, 7)):
+            assert main(["verify", "--n-min", str(n_min), "--n-max", str(n_max)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: verification orders must satisfy {MIN_FAMILY_ORDER} <= n_min <= "
+                f"n_max <= {MAX_SWEEP_ORDER}\n"
+            )
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            VerifyRunConfig(6, 6, modes=("diagonal",))
+    def test_rejects_unknown_mode(self, capsys):
+        assert main(["verify", "--n-min", "6", "--n-max", "6", "--modes", "vertex,diagonal"]) == 2
+        assert capsys.readouterr().err == (
+            "error: mode must be one of ('vertex', 'edge'), got 'diagonal'\n"
+        )
+
+    def test_rejects_unknown_index(self, capsys):
+        assert main(["verify", "--n-min", "6", "--n-max", "6", "--indices", "M3"]) == 2
+        assert capsys.readouterr().err == "error: index must be one of ('M1', 'M2'), got 'M3'\n"
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 """Graph core: index values, bipartiteness, degree bookkeeping, I/O formats."""
 
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -313,9 +314,29 @@ class TestGraph6:
         assert exc.value.offset == 1
 
     def test_rejects_nonzero_padding(self):
-        # n=2 has one adjacency bit; the other five must be zero padding
-        with pytest.raises(GraphFormatError, match="padding"):
-            decode_graph6(bytes([65, 63 + 1]))
+        for prefix in (b"", b">>graph6<<"):
+            # n=2 has one adjacency bit; the other five must be zero padding
+            with pytest.raises(GraphFormatError, match="padding") as exc:
+                decode_graph6(prefix + bytes([65, 63 + 1]))
+            assert exc.value.offset == len(prefix) + 1
+            # n=5 has ten bits in two characters; the padding lies in the last one
+            with pytest.raises(GraphFormatError, match="padding") as exc:
+                decode_graph6(prefix + b"D?@")
+            assert exc.value.offset == len(prefix) + 2
+
+    def test_bad_character_is_reported_before_bad_padding(self):
+        with pytest.raises(GraphFormatError, match="invalid graph6 character 20") as exc:
+            decode_graph6(bytes([68, 20, 63 + 1]))
+        assert exc.value.offset == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 62])
+    def test_roundtrip_empty_and_complete(self, n):
+        # n = 62 is the largest single-byte header: a 316-character body holds 1,891 bits
+        for g in (Graph(n), Graph(n, combinations(range(n), 2))):
+            code = encode_graph6(g)
+            assert len(code) == 1 + (n * (n - 1) // 2 + 5) // 6
+            assert decode_graph6(code) == g
+            assert encode_graph6(decode_graph6(code)) == code
 
     def test_rejects_multibyte_header(self):
         with pytest.raises(GraphFormatError, match="not supported"):

@@ -634,6 +634,7 @@ class TestSweepWorkIsDoneOnce:
 
         def record(p, carried, row):
             masks = decode(p, carried, row)
+            assert 0 not in masks, masks  # the walk places no empty row or column
             leaves.append(masks)
             return masks
 
@@ -663,7 +664,7 @@ class TestSweepTaskError:
     def _break_chunks(monkeypatch):
         import zex.search as search_module
 
-        def broken(task):
+        def broken(task, *classes):
             raise ZeroDivisionError("bad row")
 
         monkeypatch.setattr(search_module, "_sweep_chunk", broken)
