@@ -107,10 +107,9 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
         print(f"{value} (complete graph: no cut exists)")
     elif not witness.members:
         print(f"{value}")
-    elif args.mode == "vertex":
-        print(f"{value}, cut={{{', '.join(str(v) for v in witness.members)}}}")
     else:
-        print(f"{value}, cut={{{', '.join(f'({u}, {v})' for u, v in witness.members)}}}")
+        # a vertex and an edge pair both print as str(member)
+        print(f"{value}, cut={{{', '.join(map(str, witness.members))}}}")
     return 0
 
 

@@ -311,16 +311,22 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     therefore serve every step, once those containing a chosen vertex are
     dropped, and a step reads only the pairs with such a source.
 
-    Each pair keeps a flow of G - F of value at least cap = kappa - |F|, as
-    vertex paths and a bitmask of their inner vertices; it is computed,
-    capped at cap, in G - F - v for the first candidate v that needs it.
-    Candidate v joins F iff some pair without v has a path through v that
-    one augmenting search, with v's in -> out arc cleared, cannot replace
-    once the path is dropped: the local connectivity in G - F - v is then
-    cap - 1.  A repaired flow avoids v, so it is also a flow of G - F; a
-    flow that avoids v costs nothing, and on acceptance every kept flow
-    just drops its path through v.  So a candidate costs at most one search
-    per pair, not a scan.
+    Each pair keeps a flow as vertex paths and a bitmask of their inner
+    vertices.  It is read, for candidate v with gone = F + v, only when v is
+    not an endpoint and the mask meets gone: the paths that meet gone are
+    dropped, and if fewer than cap = kappa - |F| remain, one ``_augmented``
+    call, with v's in -> out arc cleared, repairs the flow, capped at cap, in
+    G - F - v.  Candidate v joins F iff the repair falls short: the local
+    connectivity in G - F - v is then cap - 1.  A new pair has no paths and an
+    all-ones mask, so its first read builds its flow by the same rule.
+
+    The rule is exact although a flow is only tidied when read.  At its last
+    read, with the F' of that moment (v included if it was accepted), a pair
+    had at least kappa - |F'| paths avoiding F'.  Its paths are internally
+    disjoint, so each vertex chosen since removes at most one of them, and at
+    least cap are left for the current F.  So a read whose mask misses v never
+    searches, a repaired flow avoids v and is a flow of G - F, and a candidate
+    costs at most one search per pair, not a scan.
     """
     masks = g.neighbor_masks
     if kappa == 1:
@@ -328,9 +334,10 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
         return next(_vertex_cuts(masks, g.n, 1), ())
     full = (1 << g.n) - 1
     split = _split(masks)
-    # Even's pairs; each carries its kept flow as paths and their inner-vertex bitmask
+    # Even's pairs with their kept flows as paths and inner-vertex bitmask; the all-ones
+    # mask of a new pair makes its first read build its flow
     pairs = [
-        [s, t, None, 0]
+        [s, t, [], full]
         for s in range(min(kappa + 1, g.n))
         for t in _bits(full & ~masks[s] & -(2 << s))
     ]
@@ -341,8 +348,9 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
         if cap <= 0:
             break
         split[2 * v] = 0
+        gone = {*chosen, v}
         # Even's rule: the source ranks below cap among the live vertices of G - F - v
-        sources = alive ^ 1 << v
+        sources = live = alive ^ 1 << v
         for _ in range(cap - 1):
             sources &= sources - 1
         last = (sources & -sources).bit_length() - 1
@@ -351,16 +359,11 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
             s, t, paths, used = pair
             if s > last:
                 break
-            if v == s or v == t:
+            if v == s or v == t or not used & ~live:
                 continue
-            if paths is None:
-                paths = _augmented(split, s, t, [], cap)
-            elif used >> v & 1:
-                paths = [path for path in paths if v not in path]
-                if len(paths) < cap:
-                    paths = _augmented(split, s, t, paths, cap)
-            else:
-                continue
+            paths = [path for path in paths if gone.isdisjoint(path)]
+            if len(paths) < cap:
+                paths = _augmented(split, s, t, paths, cap)
             pair[2], pair[3] = paths, _path_bits(paths)
             cut = len(paths) < cap
             if cut:
@@ -369,12 +372,8 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
             split[2 * v] = 1 << 2 * v + 1
             continue
         chosen.append(v)
-        alive ^= 1 << v
+        alive = live
         pairs = [pair for pair in pairs if v != pair[0] and v != pair[1]]
-        for pair in pairs:
-            if pair[3] >> v & 1:
-                pair[2] = [path for path in pair[2] if v not in path]
-                pair[3] = _path_bits(pair[2])
     return tuple(chosen)
 
 

@@ -22,6 +22,7 @@ from zex.families import MIN_FAMILY_ORDER
 from zex.search import MAX_SWEEP_ORDER
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 @pytest.fixture
@@ -82,31 +83,54 @@ class TestConstructCommand:
         main(["construct", "family", "--n", "6", "--k", "1", "--r", "2", "--format", "edgelist", "--out", str(out)])
         assert read_graph_file(str(out)) == build_family(FamilyParams(6, 1, 2))
 
+    def test_complete_bipartite_to_stdout(self, capsys):
+        assert main(["construct", "complete-bipartite", "--p", "2", "--q", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out == (
+            "complete bipartite 2 x 3\nM1=30 M2=36\ndegrees=3 3 2 2 2\n"
+            + encode_graph6(complete_bipartite(2, 3)).decode("ascii") + "\n"
+        )
+
     def test_invalid_params_exit_2(self, capsys):
         assert main(["construct", "family", "--n", "5", "--k", "3", "--r", "2"]) == 2
         assert "at least k" in capsys.readouterr().err
 
 
+def _connectivity_stdout(tmp_path, capsys, graph, *mode):
+    path = tmp_path / "g.g6"
+    path.write_bytes(encode_graph6(graph) + b"\n")
+    assert main(["connectivity", str(path), *mode]) == 0
+    return capsys.readouterr().out
+
+
 class TestConnectivityCommand:
+    # exact stdout: a vertex member and an edge pair both print as str(member)
     def test_vertex_mode_with_cut(self, tmp_path, capsys):
-        path = tmp_path / "k34.g6"
-        path.write_bytes(encode_graph6(complete_bipartite(3, 4)) + b"\n")
-        assert main(["connectivity", str(path), "--mode", "vertex"]) == 0
-        assert capsys.readouterr().out.strip() == "3, cut={0, 1, 2}"
+        out = _connectivity_stdout(tmp_path, capsys, complete_bipartite(3, 4), "--mode", "vertex")
+        assert out == "3, cut={0, 1, 2}\n"
 
     def test_disconnected(self, tmp_path, capsys):
-        path = tmp_path / "d.g6"
-        path.write_bytes(encode_graph6(Graph(4, [(0, 1), (2, 3)])) + b"\n")
-        assert main(["connectivity", str(path)]) == 0
-        assert capsys.readouterr().out.strip() == "0"
+        assert _connectivity_stdout(tmp_path, capsys, Graph(4, [(0, 1), (2, 3)])) == "0\n"
 
     def test_edge_mode_path(self, tmp_path, capsys):
-        path = tmp_path / "p4.g6"
-        path.write_bytes(encode_graph6(P4) + b"\n")
-        assert main(["connectivity", str(path), "--mode", "edge"]) == 0
-        out = capsys.readouterr().out.strip()
-        assert out.startswith("1")
-        assert "(0, 1)" in out
+        assert _connectivity_stdout(tmp_path, capsys, P4, "--mode", "edge") == "1, cut={(0, 1)}\n"
+
+    @pytest.mark.parametrize(
+        "graph, mode, line",
+        [
+            (P4, "vertex", "1, cut={1}"),
+            (C4, "vertex", "2, cut={0, 2}"),
+            (C4, "edge", "2, cut={(0, 1), (0, 3)}"),
+            (complete_bipartite(3, 4), "edge", "3, cut={(0, 3), (1, 3), (2, 3)}"),
+            (Graph(4, [(0, 1), (2, 3)]), "edge", "0"),
+            (Graph(3, [(0, 1), (1, 2), (0, 2)]), "vertex", "2 (complete graph: no cut exists)"),
+            (Graph(3, [(0, 1), (1, 2), (0, 2)]), "edge", "2, cut={(0, 1), (0, 2)}"),
+            (Graph(1, []), "vertex", "0 (complete graph: no cut exists)"),
+            (Graph(1, []), "edge", "0 (complete graph: no cut exists)"),
+        ],
+    )
+    def test_printed_line(self, tmp_path, capsys, graph, mode, line):
+        assert _connectivity_stdout(tmp_path, capsys, graph, "--mode", mode) == line + "\n"
 
 
 class TestSearchCommand:

@@ -93,6 +93,16 @@ class TestEdgeConnectivity:
         assert value == 0 and witness.complete
 
 
+@pytest.mark.parametrize(
+    "route",
+    [vertex_connectivity_value, edge_connectivity_value,
+     brute_force_vertex_connectivity, brute_force_edge_connectivity],
+)
+def test_every_route_rejects_the_empty_graph(route):
+    with pytest.raises(ValueError, match="at least one vertex"):
+        route(Graph(0))
+
+
 class TestMinDegreeAtMostOne:
     # kappa <= lambda <= delta, and each is >= 1 iff the graph is connected
     @pytest.mark.parametrize("g,value", [

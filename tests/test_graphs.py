@@ -54,6 +54,18 @@ class TestConstruction:
         h = g.with_edges_changed(removed=[(0, 1)])
         assert g.num_edges == 1 and h.num_edges == 0
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-1)
+
+    def test_never_equals_another_type(self):
+        assert Graph(2) != (2, ())
+        assert Graph.__eq__(Graph(2), "Graph(n=2, edges=[])") is NotImplemented
+
+    def test_repr(self):
+        assert repr(P4) == "Graph(n=4, edges=[(0, 1), (1, 2), (2, 3)])"
+        assert repr(Graph(0)) == "Graph(n=0, edges=[])"
+
 
 class TestRewriteContract:
     """The rewrites raise one fixed message per invalid input and agree with
@@ -300,6 +312,15 @@ class TestGraph6:
     def test_accepts_format_header(self):
         assert decode_graph6(b">>graph6<<A_") == Graph(2, [(0, 1)])
 
+    def test_accepts_str(self):
+        assert decode_graph6(encode_graph6(P4).decode("ascii")) == P4
+        assert decode_graph6(">>graph6<<A_\n") == Graph(2, [(0, 1)])
+
+    def test_rejects_invalid_size_byte(self):
+        with pytest.raises(GraphFormatError, match="invalid graph6 size byte 32") as exc:
+            decode_graph6(b" _")
+        assert exc.value.offset == 0
+
     def test_rejects_short_body(self):
         with pytest.raises(GraphFormatError, match="too short"):
             decode_graph6(b"D")  # n=5 needs 2 body characters
@@ -380,6 +401,22 @@ class TestEdgeList:
             parse_edge_list("3 2\n0 1\n0 1\n")
         assert exc.value.offset == 3
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("", "empty edge-list input", 1),
+            ("\n  \n", "empty edge-list input", 1),
+            ("4 x\n", "header must contain two integers", 1),
+            ("3 -1\n", "header counts must be nonnegative", 1),
+            ("3 1\n0 1 2\n", "edge line must be 'u v'", 2),
+            ("3 2\n0 1\n1 two\n", "edge line must contain two integers", 3),
+        ],
+    )
+    def test_rejects_malformed_lines(self, text, message, line):
+        with pytest.raises(GraphFormatError, match=message) as exc:
+            parse_edge_list(text)
+        assert exc.value.offset == line
+
 
 class TestReadGraphFile:
     def test_sniffs_edge_list(self, tmp_path):
@@ -396,3 +433,9 @@ class TestReadGraphFile:
         path = tmp_path / "g.txt"
         path.write_text("\n  \n" + format_edge_list(P4))
         assert read_graph_file(str(path)) == P4
+
+    def test_rejects_unknown_format(self, tmp_path):
+        path = tmp_path / "g.xml"
+        path.write_text(format_edge_list(P4))
+        with pytest.raises(ValueError, match="unknown graph format 'xml'"):
+            read_graph_file(str(path), "xml")

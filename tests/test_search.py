@@ -146,6 +146,23 @@ class TestSearchMax:
         assert set(d["spec"]) == {"n", "mode", "c", "index"}
         assert isinstance(d["maximizers"], list)
 
+    def test_tied_maximizers_are_noted(self, monkeypatch):
+        # no cell of orders 6-10 ties, so the sweep is replaced by two tied classes:
+        # two non-isomorphic order-7 graphs with kappa = lambda = 1 and (M1, M2) = (32, 35)
+        import zex.search as search_module
+
+        tied = [Graph(7, [(0, 3), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6)]),
+                Graph(7, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5), (2, 6)])]
+        forms = sorted(canonical_form(g).decode("ascii") for g in tied)
+        assert forms[0] != forms[1]
+        records = [(720, (1, 1), (m1(g), m2(g)), g.neighbor_masks) for g in tied]
+        assert records[0][2] == records[1][2] == (32, 35)
+        monkeypatch.setattr(search_module, "_sweep_cache", {7: records})
+        report = search_max(SearchSpec(7, "vertex", 1, "M1"))
+        assert report.note == "2 non-isomorphic maximizers tie"
+        assert report.maximizers == tuple(forms)
+        assert report.graphs_enumerated == 1440
+
     def test_workers_do_not_change_results(self):
         import zex.search as search_module
 

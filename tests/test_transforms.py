@@ -236,6 +236,10 @@ class TestCase2Rewire:
         with pytest.raises(ValueError, match="2r > n"):
             case2_rewire(FamilyParams(8, 1, 4))
 
+    def test_rejects_small_order(self):
+        with pytest.raises(ValueError, match="n >= 6"):
+            case2_rewire(FamilyParams(5, 1, 3))
+
     def test_rejects_too_few_core_vertices(self):
         with pytest.raises(ValueError, match="n - r - 1 >= k"):
             case2_rewire(FamilyParams(10, 4, 6))
