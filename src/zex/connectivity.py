@@ -4,7 +4,8 @@
 bitmasks (Edmonds and Karp, J. ACM 1972).  The connectivity flows
 (``_vertex_flow``, ``_edge_flow`` and the witness greedy's ``_augmented``)
 start from ``_short_paths``, disjoint paths of at most three edges read off the
-neighbor masks, so in dense graphs most of them end without a search.
+neighbor masks, so in dense graphs most of them end without a search; a
+witness repair tops up its kept paths the same way before it searches.
 Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
 vertex 0; vertex connectivity is ``_vertex_scan``, flows between Even's
 pairs in the vertex-split digraph (``_split``).  Witnesses are the
@@ -15,8 +16,7 @@ every value exact; all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
 
@@ -34,8 +34,7 @@ __all__ = [
 MODES = ("vertex", "edge")
 
 
-@dataclass(frozen=True)
-class CutWitness:
+class CutWitness(NamedTuple):
     """An explicit minimum cut, or the reason none exists.
 
     ``members`` is a sorted tuple of vertices (kind ``"vertex-cut"``) or of
@@ -44,6 +43,9 @@ class CutWitness:
     no cut exists: ``members`` is empty, ``size`` still reports the
     connectivity value and ``complete`` is set.  For graphs that are
     already disconnected ``members`` is empty with ``size`` 0.
+
+    A ``NamedTuple``, like ``graphs.Bipartition``: immutable, hashable, and
+    equal to any tuple with the same fields.
     """
 
     kind: str
@@ -107,11 +109,15 @@ def _augment(arcs: Sequence[int], fwd: list[int], back: list[int], s: int, t: in
     return True
 
 
-def _short_paths(arcs: Sequence[int], s: int, t: int, cap: int, off: int) -> list[list[int]]:
+def _short_paths(
+    arcs: Sequence[int], s: int, t: int, cap: int, off: int, taken: int
+) -> list[list[int]]:
     """Up to ``cap`` internally vertex-disjoint s-t paths of at most three edges, as
     lists of their inner vertices, packed greedily: the edge st, then the common
     neighbors of s and t, then for each other neighbor a of s the lowest free
-    neighbor b of t adjacent to a.
+    neighbor b of t adjacent to a.  No path enters a node of the mask ``taken``:
+    the in-nodes of paths the caller already holds, so the two sets of paths
+    stay disjoint.
 
     ``off`` is 1 for the vertex-split digraph, where vertex w enters at node
     ``2w`` and leaves at ``2w + 1``, and 0 for the graph's own masks, where
@@ -126,7 +132,7 @@ def _short_paths(arcs: Sequence[int], s: int, t: int, cap: int, off: int) -> lis
     no search at all.
     """
     src, dst = s << off, t << off
-    ns, nt = arcs[src | off], arcs[dst | off]
+    ns, nt = arcs[src | off] & ~taken, arcs[dst | off] & ~taken
     paths: list[list[int]] = [[]] if ns >> dst & 1 and cap > 0 else []
     need = cap - len(paths)
     common = ns & nt
@@ -190,7 +196,7 @@ def _vertex_flow(split: Sequence[int], s: int, t: int, cutoff: int) -> int:
 def _edge_flow(masks: Sequence[int], s: int, t: int, cutoff: int) -> int:
     """Max number of edge-disjoint s-t paths, capped at cutoff: the ``_short_paths``
     seed, then augmenting searches."""
-    paths = _short_paths(masks, s, t, cutoff, 0)
+    paths = _short_paths(masks, s, t, cutoff, 0, 0)
     flow = len(paths)
     if flow < cutoff:
         fwd, back = _loaded(masks, s, t, paths, 0)
@@ -264,10 +270,19 @@ def _augmented(
     split: Sequence[int], s: int, t: int, paths: list[list[int]], cap: int
 ) -> list[list[int]]:
     """Internally vertex-disjoint s-t paths (inner vertices only) of a flow that
-    extends the one of ``paths``, or of ``_short_paths`` when ``paths`` is
-    empty, by augmenting searches, up to ``cap`` paths."""
-    if not paths:
-        paths = _short_paths(split, s, t, cap, 1)
+    extends the one of ``paths``, up to ``cap`` paths.
+
+    ``paths`` is first topped up by ``_short_paths`` through the vertices it
+    leaves free (with no paths, that is the plain seed), so a repair that
+    finds a short replacement path needs no search.  The union is still a
+    set of internally disjoint paths, a feasible flow, so the augmenting
+    searches that extend it reach the exact capped maximum.  s and t must be
+    non-adjacent, as Even's pairs are: the direct-edge path ``[]`` is then
+    never offered, so it cannot repeat one of ``paths``.
+    """
+    # the in-nodes 2w of the kept paths' vertices w, spread as in ``_split``
+    taken = int("0".join(f"{_path_bits(paths):b}"), 2)
+    paths = paths + _short_paths(split, s, t, cap - len(paths), 1, taken)
     flow = len(paths)
     if flow >= cap:
         return paths

@@ -18,6 +18,10 @@ Supported interchange formats:
 * graph6, bit-exact for orders up to 62 (single-byte size header), and
 * a plain edge-list text format: a header line ``"n m"`` followed by
   ``m`` lines ``"u v"`` with ``0 <= u < v < n``.
+
+``canonical_form`` packs the canonically relabeled graph with the graph6
+bit-packer ``_pack_graph6``, so isomorphic graphs get equal bytes; it
+supports ``n <= MAX_CANONICAL_ORDER``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "connected_components",
     "encode_graph6",
     "decode_graph6",
+    "canonical_form",
     "parse_edge_list",
     "format_edge_list",
     "read_graph_file",
@@ -404,6 +409,76 @@ def decode_graph6(data: bytes) -> Graph:
     edges = [(u, v) for v in range(1, n)
              for u, bit in enumerate(bits[v * (v - 1) // 2:v * (v + 1) // 2]) if bit == "1"]
     return Graph(n, edges)
+
+
+# -- canonical form -------------------------------------------------------------
+
+MAX_CANONICAL_ORDER = 16
+
+
+def _refine(masks: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
+    while True:
+        keys = []
+        for v in range(n):
+            nb = []
+            m = masks[v]
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
+                nb.append(colors[w])
+            nb.sort()
+            keys.append((colors[v], tuple(nb)))
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new = [rank[key] for key in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _twin_cell(masks: tuple[int, ...], members: list[int]) -> bool:
+    """True when all cell members are mutually interchangeable twins."""
+    first = members[0]
+    open_mask = masks[first]
+    closed_mask = masks[first] | 1 << first
+    all_open = all(masks[v] == open_mask for v in members)
+    all_closed = all(masks[v] | 1 << v == closed_mask for v in members)
+    return all_open or all_closed
+
+
+def _canon_search(masks: tuple[int, ...], n: int, colors: list[int]) -> bytes:
+    """Least encoding over the leaves of the search tree under ``colors``."""
+    colors = _refine(masks, n, colors)
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(colors[v], []).append(v)
+    target = None
+    for color in sorted(cells):
+        members = cells[color]
+        if len(members) > 1 and not _twin_cell(masks, members):
+            target = members
+            break
+    if target is None:
+        return _pack_graph6(masks, sorted(range(n), key=lambda v: (colors[v], v)))
+    best = None
+    for x in target:
+        child = [c * 2 for c in colors]
+        child[x] -= 1
+        enc = _canon_search(masks, n, child)
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Label-invariant encoding: equal byte strings iff the graphs are isomorphic.
+
+    Color refinement plus individualization within non-twin cells; the
+    output is the graph6 encoding of the canonically relabeled graph.
+    Supports ``n <= 16``.
+    """
+    if g.n > MAX_CANONICAL_ORDER:
+        raise ValueError(f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}")
+    return _canon_search(g.neighbor_masks, g.n, [0] * g.n)
 
 
 # -- edge-list text format ---------------------------------------------------

@@ -7,8 +7,8 @@ matrix, ``q = n - p``, whose rows are the neighborhoods of vertices
 index values of a connected graph.  ``enumerate_class`` yields every
 labeled pattern of one connectivity class; brute-force connectivity (the
 cross-check for the flow module, on the cut enumerator
-``graphs._vertex_cuts``), minimum-cut predicates and ``canonical_form``
-are also here.
+``graphs._vertex_cuts``) and minimum-cut predicates are also here.
+Maximizers are deduplicated by ``graphs.canonical_form``.
 
 The sweep behind ``search_max`` walks only doubly lexical matrices: every
 0/1 matrix has a row and column order in which both rows and columns are
@@ -21,8 +21,9 @@ serial sweep passes one class table through all its tasks; worker
 processes fill a table per task, which ``_merge_cells`` unions in task
 order as each arrives, so reports do not depend on the worker count.
 
-Scale caps: full sweeps support ``n <= 10``; the canonical form supports
-``n <= 16``.
+Scale caps: full sweeps support ``n <= 10`` (``MAX_SWEEP_ORDER``); the
+canonical form, which lives in ``graphs``, supports ``n <= 16``
+(``graphs.MAX_CANONICAL_ORDER``).
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .graphs import (
     Graph,
     _mask_edges,
     _mask_indices,
-    _pack_graph6,
     _reach,
     _vertex_cuts,
+    canonical_form,
     connected_components,
     encode_graph6,
     index_value,
@@ -63,12 +64,10 @@ __all__ = [
     "minimum_vertex_cuts",
     "has_straddling_min_cut",
     "cut_component_profile",
-    "canonical_form",
     "SweepTaskError",
 ]
 
 MAX_SWEEP_ORDER = 10
-MAX_CANONICAL_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -536,70 +535,3 @@ def cut_component_profile(g: Graph, s: frozenset[int]) -> list[int]:
     if len(comps) < 2:
         raise ValueError(f"removing {sorted(s)} does not disconnect the graph")
     return sorted(len(c) for c in comps)
-
-
-# -- canonical form -------------------------------------------------------------
-
-def _refine(masks: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
-    while True:
-        keys = []
-        for v in range(n):
-            nb = []
-            m = masks[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                nb.append(colors[w])
-            nb.sort()
-            keys.append((colors[v], tuple(nb)))
-        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [rank[key] for key in keys]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _twin_cell(masks: tuple[int, ...], members: list[int]) -> bool:
-    """True when all cell members are mutually interchangeable twins."""
-    first = members[0]
-    open_mask = masks[first]
-    closed_mask = masks[first] | 1 << first
-    all_open = all(masks[v] == open_mask for v in members)
-    all_closed = all(masks[v] | 1 << v == closed_mask for v in members)
-    return all_open or all_closed
-
-
-def _canon_search(masks: tuple[int, ...], n: int, colors: list[int]) -> bytes:
-    """Least encoding over the leaves of the search tree under ``colors``."""
-    colors = _refine(masks, n, colors)
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    target = None
-    for color in sorted(cells):
-        members = cells[color]
-        if len(members) > 1 and not _twin_cell(masks, members):
-            target = members
-            break
-    if target is None:
-        return _pack_graph6(masks, sorted(range(n), key=lambda v: (colors[v], v)))
-    best = None
-    for x in target:
-        child = [c * 2 for c in colors]
-        child[x] -= 1
-        enc = _canon_search(masks, n, child)
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
-def canonical_form(g: Graph) -> bytes:
-    """Label-invariant encoding: equal byte strings iff the graphs are isomorphic.
-
-    Color refinement plus individualization within non-twin cells; the
-    output is the graph6 encoding of the canonically relabeled graph.
-    Supports ``n <= 16``.
-    """
-    if g.n > MAX_CANONICAL_ORDER:
-        raise ValueError(f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}")
-    return _canon_search(g.neighbor_masks, g.n, [0] * g.n)

@@ -322,6 +322,22 @@ class TestWitnesses:
         assert peak < 2_000_000
 
 
+class TestCutWitness:
+    def test_value_semantics(self):
+        from zex import CutWitness
+
+        witness = CutWitness("vertex-cut", (1,), 1)
+        assert repr(witness) == "CutWitness(kind='vertex-cut', members=(1,), size=1, complete=False)"
+        assert witness.complete is False
+        assert vertex_connectivity(P4) == (1, witness)
+        assert witness != CutWitness("vertex-cut", (1,), 1, complete=True)
+        assert {witness: "P4"}[CutWitness("vertex-cut", (1,), 1, False)] == "P4"
+        # a NamedTuple: equal to the plain tuple of its fields
+        assert witness == ("vertex-cut", (1,), 1, False)
+        with pytest.raises(AttributeError):
+            witness.size = 2
+
+
 class TestShortPathSeed:
     # dense bipartite pairs are joined by enough disjoint paths of length 2 or 3 that
     # the seeded flows end without a search; the witnesses search at most once per cut member
@@ -366,6 +382,20 @@ class TestShortPathSeed:
             assert len(witness.members) == value
             assert len(searches) <= value
             searches.clear()
+
+
+    def test_repair_tops_up_kept_paths_with_short_paths(self, monkeypatch):
+        # in K_{3,4}, vertices 0 and 1 share the neighbors 3-6; a kept path through 4
+        # is topped up by common neighbors that avoid it, with no search
+        from zex import connectivity
+
+        def no_search(*args):
+            raise AssertionError("the repair searched")
+
+        monkeypatch.setattr(connectivity, "_augment", no_search)
+        split = connectivity._split(complete_bipartite(3, 4).neighbor_masks)
+        assert connectivity._augmented(split, 0, 1, [[4]], 3) == [[4], [3], [5]]
+        assert connectivity._augmented(split, 0, 1, [], 3) == [[3], [4], [5]]
 
 
 class TestEvenSourceBound:
