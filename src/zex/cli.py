@@ -7,6 +7,10 @@ The ``ZEX_THREADS`` environment variable caps the sweep worker count for
 ``search`` and ``verify`` (0 = one worker per CPU; unset = serial).
 Reports are reproducible byte for byte except for the ``elapsed`` timing
 fields.
+
+Each command loads only the layers it runs: the flow module
+``connectivity`` is imported by ``zex connectivity`` alone, so a cold
+``zex verify`` process loads ``graphs``, ``families`` and ``search``.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple
 
-from .connectivity import MODES, edge_connectivity, vertex_connectivity
 from .families import (
     MIN_FAMILY_ORDER,
     FamilyParams,
@@ -29,6 +31,7 @@ from .families import (
 )
 from .graphs import (
     INDICES,
+    MODES,
     Graph,
     GraphFormatError,
     encode_graph6,
@@ -98,6 +101,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_connectivity(args: argparse.Namespace) -> int:
+    # only this command runs flows, so the other commands never load the flow module
+    from .connectivity import edge_connectivity, vertex_connectivity
+
     g = read_graph_file(args.input, args.format)
     if args.mode == "vertex":
         value, witness = vertex_connectivity(g)
@@ -164,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             lines = [",".join(_CSV_COLUMNS)]
             for r in reports:
-                row = (*astuple(r.spec), r.max_value, r.predicted_value, r.matches,
+                row = (*r.spec, r.max_value, r.predicted_value, r.matches,
                        len(r.maximizers))
                 lines.append(",".join(map(str, row)))
             payload = "\n".join(lines) + "\n"

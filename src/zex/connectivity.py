@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
+# MODES is unused here; importing it keeps ``zex.connectivity.MODES`` working for callers
+from .graphs import MODES, Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
 
 __all__ = [
-    "MODES",
     "CutWitness",
     "vertex_connectivity",
     "edge_connectivity",
@@ -29,10 +29,6 @@ __all__ = [
     "edge_connectivity_value",
     "is_k_connected",
 ]
-
-# the connectivity mode names, as used by search cells, reports and the command line
-MODES = ("vertex", "edge")
-
 
 class CutWitness(NamedTuple):
     """An explicit minimum cut, or the reason none exists.

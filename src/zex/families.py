@@ -19,12 +19,10 @@ edge) connectivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .connectivity import MODES
-from .graphs import Graph
+from .graphs import MODES, Graph
 
 __all__ = [
     "FamilyParams",
@@ -39,8 +37,7 @@ __all__ = [
 MIN_FAMILY_ORDER = 6
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple("FamilyParams", [("n", int), ("k", int), ("r", int)])):
     """Parameters ``(n, k, r)`` with ``1 <= k <= r <= n - 2``.
 
     ``n`` is the total order, ``k`` the connectivity parameter (size of
@@ -49,17 +46,17 @@ class FamilyParams:
     ``n - r - 1`` and ``r - k``.
     """
 
-    n: int
-    k: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    # a NamedTuple body cannot override __new__, so the checks live in this subclass
+    def __new__(cls, n: int, k: int, r: int):
+        if k < 1:
             raise ValueError("k must be at least 1")
-        if self.r < self.k:
-            raise ValueError(f"r={self.r} must be at least k={self.k}")
-        if self.r > self.n - 2:
-            raise ValueError(f"r={self.r} must be at most n-2={self.n - 2}")
+        if r < k:
+            raise ValueError(f"r={r} must be at least k={k}")
+        if r > n - 2:
+            raise ValueError(f"r={r} must be at most n-2={n - 2}")
+        return super().__new__(cls, n, k, r)
 
     @property
     def a_count(self) -> int:

@@ -11,7 +11,8 @@ The two degree-based indices computed here are
 * ``m2(g)``: the sum over edges of the product of the endpoint degrees.
 
 Both are exact nonnegative integers (degrees are at most ``n - 1``, so no
-overflow concerns at the supported graph sizes).
+overflow concerns at the supported graph sizes).  The mode and index names,
+``MODES`` and ``INDICES``, are defined here once for every layer.
 
 Supported interchange formats:
 
@@ -35,6 +36,7 @@ __all__ = [
     "GraphFormatError",
     "m1",
     "m2",
+    "MODES",
     "INDICES",
     "index_value",
     "min_degree",
@@ -200,7 +202,9 @@ class Bipartition(NamedTuple):
     Y: frozenset[int]
 
 
-# the index names, as used by search cells, reports and the command line
+# the connectivity mode and index names, as used by search cells, reports and the
+# command line
+MODES = ("vertex", "edge")
 INDICES = ("M1", "M2")
 
 

@@ -8,7 +8,10 @@ index values of a connected graph.  ``enumerate_class`` yields every
 labeled pattern of one connectivity class; brute-force connectivity (the
 cross-check for the flow module, on the cut enumerator
 ``graphs._vertex_cuts``) and minimum-cut predicates are also here.
-Maximizers are deduplicated by ``graphs.canonical_form``.
+Maximizers are deduplicated by ``graphs.canonical_form``.  Nothing here
+imports the flow module ``connectivity``: the minimum-cut predicates take
+kappa from the brute-force route, so they stay a reference independent of
+the flows, and a ``zex verify`` process never loads the flow module.
 
 The sweep behind ``search_max`` walks only doubly lexical matrices: every
 0/1 matrix has a row and column order in which both rows and columns are
@@ -30,16 +33,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .connectivity import MODES, vertex_connectivity_value
 from .families import MIN_FAMILY_ORDER, predicted_extremal
 from .graphs import (
     INDICES,
+    MODES,
     Bipartition,
     Graph,
     _mask_edges,
@@ -70,32 +72,29 @@ __all__ = [
 MAX_SWEEP_ORDER = 10
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(NamedTuple("SearchSpec", [("n", int), ("mode", str), ("c", int), ("index", str)])):
     """A search cell: order, connectivity mode and value, objective index.
 
     ``c`` values above ``n // 2`` are not rejected; they simply define an
     empty class (no bipartite graph of order ``n`` can reach them).
     """
 
-    n: int
-    mode: str
-    c: int
-    index: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    # a NamedTuple body cannot override __new__, so the checks live in this subclass
+    def __new__(cls, n: int, mode: str, c: int, index: str):
+        if n < 2:
             raise ValueError("search requires n >= 2")
-        if self.c < 1:
+        if c < 1:
             raise ValueError("search requires c >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.index not in INDICES:
-            raise ValueError(f"index must be one of {INDICES}, got {self.index!r}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if index not in INDICES:
+            raise ValueError(f"index must be one of {INDICES}, got {index!r}")
+        return super().__new__(cls, n, mode, c, index)
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of maximizing one index over one connectivity class."""
 
     spec: SearchSpec
@@ -109,7 +108,8 @@ class SearchReport:
     note: Optional[str] = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = self._asdict()
+        d["spec"] = self.spec._asdict()
         d["maximizers"] = list(self.maximizers)
         if self.note is None:
             del d["note"]
@@ -497,12 +497,13 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
 # -- structural cut predicates -------------------------------------------------
 
 def minimum_vertex_cuts(g: Graph) -> list[frozenset[int]]:
-    """All minimum vertex cuts, by enumerating subsets of size kappa.
+    """All minimum vertex cuts, by enumerating subsets of size kappa; kappa
+    comes from ``brute_force_vertex_connectivity``, so no flow runs.
 
     Empty for complete graphs (no vertex cut exists) and for graphs that
     are already disconnected.
     """
-    kappa = vertex_connectivity_value(g)
+    kappa = brute_force_vertex_connectivity(g)
     if kappa == 0:
         return []
     # a complete graph has no disconnecting (n - 1)-subset, so it yields none

@@ -23,7 +23,7 @@ labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import MIN_FAMILY_ORDER, FamilyParams, _blowup
 from .graphs import Graph
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(NamedTuple):
     """A neighbor move: detach ``moved`` from ``v`` and attach them to ``u``.
 
     Valid against a graph when ``u != v``, ``u`` is not adjacent to ``v``,

@@ -278,7 +278,9 @@ class TestWitnesses:
             assert first <= kappa and all(count == 1 for count in repairs)
 
     def test_cut_vertex_witness_is_the_lex_min_minimum_cut(self):
-        # kappa = 1 takes the cut-vertex route; K2 has no cut vertex, so its witness is empty
+        # kappa = 1 takes the cut-vertex route; K2 has no cut vertex, so its witness is empty.
+        # minimum_vertex_cuts runs no flow (test_search.py pins that), so the reference
+        # is a route independent of the flows
         from zex import connectivity, minimum_vertex_cuts
 
         checked = 0

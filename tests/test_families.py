@@ -1,5 +1,6 @@
 """Constructions: family builder, closed forms, predicted maximizers."""
 
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -65,6 +66,37 @@ class TestFamilyParams:
     def test_rejects_r_above_n_minus_2(self):
         with pytest.raises(ValueError, match="n-2"):
             FamilyParams(6, 1, 5)
+
+    # every check in its order, with its message word for word
+    @pytest.mark.parametrize("args, message", [
+        ((6, 0, 2), "k must be at least 1"),
+        ((5, 3, 2), "r=2 must be at least k=3"),
+        ((6, 1, 5), "r=5 must be at most n-2=4"),
+        ((3, 0, -1), "k must be at least 1"),
+    ])
+    def test_messages_by_position_by_keyword_and_after_pickling(self, args, message):
+        # an instance made without __new__ still meets the checks when it is unpickled
+        forged = tuple.__new__(FamilyParams, args)
+        for build in (
+            lambda: FamilyParams(*args),
+            lambda: FamilyParams(**dict(zip(FamilyParams._fields, args))),
+            lambda: pickle.loads(pickle.dumps(forged)),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_is_an_immutable_named_tuple(self):
+        p = FamilyParams(n=7, k=1, r=3)
+        assert repr(p) == "FamilyParams(n=7, k=1, r=3)"
+        assert p == FamilyParams(7, 1, 3) == (7, 1, 3)
+        assert (p.a_count, p.b_count) == (3, 2)
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and type(copy) is FamilyParams
+        with pytest.raises(AttributeError):
+            p.k = 2
+        with pytest.raises(AttributeError):
+            p.extra = 1
 
 
 class TestBuildFamily:

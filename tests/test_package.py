@@ -1,5 +1,6 @@
 """The package's top-level names: each module lists its public names once,
-and ``zex`` re-exports all of them, importing each module on first use."""
+and ``zex`` re-exports all of them, importing each module on first use.  The
+command line loads the flow module only for ``zex connectivity``."""
 
 import importlib
 import json
@@ -22,6 +23,16 @@ for name in ("decode_graph6", "m1", "m2", "vertex_connectivity", "edge_connectiv
 connectivity = set(sys.modules) - before
 zex.search_max
 print(json.dumps([sorted(connectivity), sorted(set(sys.modules) - before - connectivity)]))
+"""
+
+# ``import zex.cli``, then one ``zex connectivity`` run; prints what each step added last
+CLI_COLD_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import zex.cli
+cli = set(sys.modules) - before
+zex.cli.main(["connectivity", sys.argv[1]])
+print(json.dumps([sorted(cli), sorted(set(sys.modules) - before - cli)]))
 """
 
 # the top-level names before ``zex.__all__`` was built from the module lists, by module
@@ -56,6 +67,8 @@ def test_earlier_names_resolve_to_their_module_objects():
         for name in names:
             assert getattr(zex, name) is getattr(module, name), name
     assert set(zex.__all__) - set(earlier) == {"MODES", "INDICES", "index_value", "SweepTaskError"}
+    # the mode names moved beside the index names, and stay bound at their earlier home
+    assert zex.MODES is zex.graphs.MODES is zex.connectivity.MODES
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -83,3 +96,17 @@ def test_names_resolve_on_first_use_and_stay_bound():
     assert vars(zex)["search_max"] is zex.search.search_max
     with pytest.raises(AttributeError, match="no_such_name"):
         zex.no_such_name
+
+
+def test_the_cli_loads_the_flow_module_for_zex_connectivity_only(tmp_path):
+    # a cold ``zex verify`` imports ``zex.cli``, so none of these may come with it
+    path = tmp_path / "p4.g6"
+    path.write_bytes(zex.encode_graph6(zex.Graph(4, [(0, 1), (1, 2), (2, 3)])) + b"\n")
+    done = run_python(CLI_COLD_IMPORT, str(path))
+    assert done.returncode == 0, done.stderr
+    printed, loads = done.stdout.splitlines()
+    cli, connectivity = json.loads(loads)
+    assert {"zex", "zex.cli", "zex.graphs", "zex.families", "zex.search"} <= set(cli)
+    assert not {"dataclasses", "inspect", "zex.connectivity", "zex.transforms"} & set(cli)
+    assert printed == "1, cut={1}"
+    assert "zex.connectivity" in connectivity

@@ -1,6 +1,7 @@
 """Oracle: class enumeration, extremal search, cut predicates, canonical form."""
 
 import itertools
+import pickle
 import random
 from collections import Counter
 from functools import cache, reduce
@@ -13,6 +14,7 @@ from conftest import DEFAULT_SEED, random_graph, row_and_column_class, run_pytho
 from zex import (
     FamilyParams,
     Graph,
+    SearchReport,
     SearchSpec,
     bipartition_of,
     build_family,
@@ -51,6 +53,74 @@ class TestSearchSpec:
 
     def test_out_of_range_c_is_allowed(self):
         SearchSpec(6, "vertex", 5, "M1")  # empty class, not an error
+
+    # every check in its order, with its message word for word
+    INVALID = [
+        ((1, "vertex", 1, "M1"), "search requires n >= 2"),
+        ((6, "vertex", 0, "M1"), "search requires c >= 1"),
+        ((6, "both", 1, "M1"), "mode must be one of ('vertex', 'edge'), got 'both'"),
+        ((6, "vertex", 1, "M3"), "index must be one of ('M1', 'M2'), got 'M3'"),
+        ((1, "both", 0, "M3"), "search requires n >= 2"),
+    ]
+
+    @pytest.mark.parametrize("args, message", INVALID)
+    def test_messages_by_position_by_keyword_and_after_pickling(self, args, message):
+        # an instance made without __new__ still meets the checks when it is unpickled
+        forged = tuple.__new__(SearchSpec, args)
+        for build in (
+            lambda: SearchSpec(*args),
+            lambda: SearchSpec(**dict(zip(SearchSpec._fields, args))),
+            lambda: pickle.loads(pickle.dumps(forged)),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_is_an_immutable_named_tuple(self):
+        spec = SearchSpec(n=6, mode="vertex", c=1, index="M1")
+        assert repr(spec) == "SearchSpec(n=6, mode='vertex', c=1, index='M1')"
+        assert spec == SearchSpec(6, "vertex", 1, "M1") == (6, "vertex", 1, "M1")
+        n, mode, c, index = spec
+        assert (n, mode, c, index) == (spec.n, spec.mode, spec.c, spec.index)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and type(copy) is SearchSpec
+        with pytest.raises(AttributeError):
+            spec.n = 7
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+
+
+class TestSearchReport:
+    FIELDS = ["spec", "max_value", "maximizers", "predicted_graph", "predicted_value",
+              "matches", "graphs_enumerated", "elapsed"]
+
+    def report(self, **changes):
+        # K_{3,3}, the one graph of its class, with the timing field fixed
+        return search_max(SearchSpec(6, "vertex", 3, "M1"))._replace(elapsed=0.5, **changes)
+
+    def test_repr(self):
+        assert repr(self.report()) == (
+            "SearchReport(spec=SearchSpec(n=6, mode='vertex', c=3, index='M1'), max_value=54, "
+            "maximizers=('Es\\\\o',), predicted_graph='EFz_', predicted_value=54, matches=True, "
+            "graphs_enumerated=1, elapsed=0.5, note=None)"
+        )
+
+    def test_to_dict_keeps_the_field_order(self):
+        d = self.report().to_dict()
+        assert list(d) == self.FIELDS
+        assert d["spec"] == {"n": 6, "mode": "vertex", "c": 3, "index": "M1"}
+        assert list(d["spec"]) == ["n", "mode", "c", "index"] and type(d["spec"]) is dict
+        assert d["maximizers"] == ["Es\\o"]
+        noted = self.report(note="empty class").to_dict()
+        assert list(noted) == [*self.FIELDS, "note"] and noted["note"] == "empty class"
+        assert list(search_max(SearchSpec(6, "vertex", 4, "M1")).to_dict()) == [*self.FIELDS, "note"]
+
+    def test_is_immutable(self):
+        report = self.report()
+        with pytest.raises(AttributeError):
+            report.note = "changed"
+        with pytest.raises(AttributeError):
+            report.extra = 1
 
 
 class TestEnumerateClass:
@@ -749,6 +819,28 @@ class TestSweepTaskError:
 class TestMinimumCuts:
     def test_k23_unique_cut_is_small_side(self):
         assert minimum_vertex_cuts(complete_bipartite(2, 3)) == [frozenset({0, 1})]
+
+    def test_no_flow_runs(self, monkeypatch):
+        # so the cuts are a reference for the flow witnesses that shares no flow code
+        from zex import connectivity
+
+        def no_flow(*args):
+            raise AssertionError("a flow ran")
+
+        monkeypatch.setattr(connectivity, "_vertex_flow", no_flow)
+        monkeypatch.setattr(connectivity, "_edge_flow", no_flow)
+        assert minimum_vertex_cuts(complete_bipartite(2, 3)) == [frozenset({0, 1})]
+        assert minimum_vertex_cuts(C6) == sorted(
+            (frozenset(pair) for pair in itertools.combinations(range(6), 2)
+             if (pair[1] - pair[0]) % 6 not in (1, 5)),
+            key=sorted,
+        )
+        assert len(minimum_vertex_cuts(build_family(FamilyParams(8, 2, 3)))) == 1
+        assert minimum_vertex_cuts(complete_bipartite(3, 3)) == [frozenset({0, 1, 2}),
+                                                                 frozenset({3, 4, 5})]
+        assert has_straddling_min_cut(C6, bipartition_of(C6)) is True
+        g = build_family(FamilyParams(8, 2, 3))
+        assert has_straddling_min_cut(g, bipartition_of(g)) is False
 
     def test_complete_graph_has_none(self):
         g = Graph(4, list(itertools.combinations(range(4), 2)))

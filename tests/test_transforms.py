@@ -72,6 +72,16 @@ class TestAddEdge:
 
 
 class TestShiftNeighbors:
+    def test_spec_is_an_immutable_named_tuple(self):
+        spec = ShiftSpec(u=0, v=4, moved=frozenset({5}))
+        assert repr(spec) == "ShiftSpec(u=0, v=4, moved=frozenset({5}))"
+        assert spec == ShiftSpec(0, 4, frozenset({5})) == (0, 4, frozenset({5}))
+        assert {spec: "move"}[(0, 4, frozenset({5}))] == "move"
+        with pytest.raises(AttributeError):
+            spec.u = 1
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+
     def test_double_star_example(self):
         # frozen from direct evaluation of both 6-vertex graphs
         assert (m1(DOUBLE_STAR), m2(DOUBLE_STAR)) == (20, 18)
