@@ -25,8 +25,6 @@ from .families import (
     FamilyParams,
     build_family,
     complete_bipartite,
-    family_m1,
-    family_m2,
     predicted_extremal,
 )
 from .graphs import (
@@ -86,15 +84,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
             f"family n={p.n} k={p.k}: core parts {p.a_count} x {p.b_count}"
             f" (r={p.r})"
         )
-        print(f"M1={family_m1(p)} M2={family_m2(p)}")
     elif args.kind == "complete-bipartite":
         g = complete_bipartite(args.p, args.q)
         print(f"complete bipartite {args.p} x {args.q}")
-        print(f"M1={m1(g)} M2={m2(g)}")
     else:  # predicted
         g = predicted_extremal(args.n, args.c, args.mode)
         print(f"predicted maximizer n={args.n} c={args.c} mode={args.mode}")
-        print(f"M1={m1(g)} M2={m2(g)}")
+    print(f"M1={m1(g)} M2={m2(g)}")
     print("degrees=" + " ".join(str(d) for d in g.degrees()))
     _write_graph(g, args.out, args.format)
     return 0

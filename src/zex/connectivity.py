@@ -1,11 +1,12 @@
 """Exact vertex and edge connectivity via unit-capacity maximum flow.
 
 ``_augment`` is the one augmenting step, a shortest path on a flow kept as
-bitmasks (Edmonds and Karp, J. ACM 1972).  The connectivity flows
-(``_vertex_flow``, ``_edge_flow`` and the witness greedy's ``_augmented``)
-start from ``_short_paths``, disjoint paths of at most three edges read off the
-neighbor masks, so in dense graphs most of them end without a search; a
-witness repair tops up its kept paths the same way before it searches.
+bitmasks (Edmonds and Karp, J. ACM 1972).  ``_flow`` is the one driver behind
+every connectivity flow (``_vertex_flow``, ``_edge_flow`` and the witness
+greedy's ``_augmented``): it tops the kept paths up with ``_short_paths``,
+disjoint paths of at most three edges read off the neighbor masks, loads
+them as a flow and augments up to the cap, so in dense graphs most flows
+end without a search, and so does many a witness repair.
 Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
 vertex 0; vertex connectivity is ``_vertex_scan``, flows between Even's
 pairs in the vertex-split digraph (``_split``).  Witnesses are the
@@ -161,11 +162,31 @@ def _short_paths(
     return paths
 
 
-def _loaded(
-    arcs: Sequence[int], s: int, t: int, paths: list[list[int]], off: int
-) -> tuple[list[int], list[int]]:
-    """``(fwd, back)`` of the unit flow along ``paths`` (inner vertices, laid out as
-    in ``_short_paths``)."""
+def _flow(
+    arcs: Sequence[int], s: int, t: int, paths: list[list[int]], cap: int, off: int
+) -> tuple[list[list[int]], int, list[int] | None]:
+    """``(paths, flow, fwd)``: an s-t flow of up to ``cap`` units that extends the one
+    of the disjoint ``paths`` (inner vertices, laid out as in ``_short_paths``).
+
+    ``paths`` is first topped up by ``_short_paths`` through the vertices it
+    leaves free (with no paths, that is the plain seed), so a witness repair
+    that finds a short replacement path needs no search.  The union is still
+    a set of disjoint paths, a feasible flow, so the augmenting searches that
+    extend it reach the exact capped maximum.  Only the vertex witness greedy
+    keeps paths, in the split digraph (``off`` 1), where s and t are
+    non-adjacent: the direct-edge path ``[]`` is then never offered, so it
+    cannot repeat one of ``paths``.
+
+    The ``paths`` returned are the topped-up ones, and ``fwd`` is the final
+    flow as in ``_augment``, or ``None`` when those paths reach the cap
+    unaided.
+    """
+    # the in-nodes 2w of the kept paths' vertices w, spread as in ``_split``
+    taken = int("0".join(f"{_path_bits(paths):b}"), 2) if paths else 0
+    paths = paths + _short_paths(arcs, s, t, cap - len(paths), off, taken)
+    flow = len(paths)
+    if flow >= cap:
+        return paths, flow, None
     fwd = [0] * len(arcs)
     back = [0] * len(arcs)
     for path in paths:
@@ -180,25 +201,20 @@ def _loaded(
             u = x | off
         fwd[u] |= 1 << (t << off)
         back[t << off] |= 1 << u
-    return fwd, back
+    while flow < cap and _augment(arcs, fwd, back, s << off | off, t << off):
+        flow += 1
+    return paths, flow, fwd
 
 
 def _vertex_flow(split: Sequence[int], s: int, t: int, cutoff: int) -> int:
     """Max number of internally vertex-disjoint s-t paths, capped at cutoff, in the
     vertex-split digraph ``split``."""
-    return len(_augmented(split, s, t, [], cutoff))
+    return _flow(split, s, t, [], cutoff, 1)[1]
 
 
 def _edge_flow(masks: Sequence[int], s: int, t: int, cutoff: int) -> int:
-    """Max number of edge-disjoint s-t paths, capped at cutoff: the ``_short_paths``
-    seed, then augmenting searches."""
-    paths = _short_paths(masks, s, t, cutoff, 0, 0)
-    flow = len(paths)
-    if flow < cutoff:
-        fwd, back = _loaded(masks, s, t, paths, 0)
-        while flow < cutoff and _augment(masks, fwd, back, s, t):
-            flow += 1
-    return flow
+    """Max number of edge-disjoint s-t paths, capped at cutoff."""
+    return _flow(masks, s, t, [], cutoff, 0)[1]
 
 
 def _split(masks: Sequence[int]) -> list[int]:
@@ -266,25 +282,9 @@ def _augmented(
     split: Sequence[int], s: int, t: int, paths: list[list[int]], cap: int
 ) -> list[list[int]]:
     """Internally vertex-disjoint s-t paths (inner vertices only) of a flow that
-    extends the one of ``paths``, up to ``cap`` paths.
-
-    ``paths`` is first topped up by ``_short_paths`` through the vertices it
-    leaves free (with no paths, that is the plain seed), so a repair that
-    finds a short replacement path needs no search.  The union is still a
-    set of internally disjoint paths, a feasible flow, so the augmenting
-    searches that extend it reach the exact capped maximum.  s and t must be
-    non-adjacent, as Even's pairs are: the direct-edge path ``[]`` is then
-    never offered, so it cannot repeat one of ``paths``.
-    """
-    # the in-nodes 2w of the kept paths' vertices w, spread as in ``_split``
-    taken = int("0".join(f"{_path_bits(paths):b}"), 2)
-    paths = paths + _short_paths(split, s, t, cap - len(paths), 1, taken)
-    flow = len(paths)
-    if flow >= cap:
-        return paths
-    fwd, back = _loaded(split, s, t, paths, 1)
-    while flow < cap and _augment(split, fwd, back, 2 * s + 1, 2 * t):
-        flow += 1
+    extends the one of ``paths``, up to ``cap`` paths: ``_flow``'s flow, split
+    into paths for the witness greedy."""
+    paths, flow, fwd = _flow(split, s, t, paths, cap, 1)
     if flow == len(paths):
         return paths
     # every inner in-node carries at most one unit, so the flow splits into paths

@@ -3,7 +3,7 @@
 
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from pathlib import Path
 
@@ -99,19 +99,35 @@ def test_flow_connectivity_matches_networkx_past_brute_force_reach(kind):
         assert not is_connected(g.with_edges_changed(removed=ecut.members)), g
 
 
-def test_witnesses_match_the_committed_reference():
+def test_witnesses_match_the_committed_reference(monkeypatch):
     # the benchmark's witness reference was cross-checked with networkx when it was made
+    from zex import connectivity
+
     if not WITNESS_REFERENCE.exists():
         pytest.skip("perfbench/reference/witness.json is not in this checkout")
     with WITNESS_REFERENCE.open() as fh:
         entries = list(json.load(fh)["graphs"].values())
     assert len(entries) == 362
+    augment = connectivity._augment
+    searches = Counter()
+    route = None
+
+    def counting(arcs, fwd, back, s, t):
+        searches[route] += 1
+        return augment(arcs, fwd, back, s, t)
+
+    monkeypatch.setattr(connectivity, "_augment", counting)
     for e in entries:
         g = decode_graph6(e["g6"].encode())
+        route = "vertex"
         kappa, vcut = vertex_connectivity(g)
+        route = "edge"
         lam, ecut = edge_connectivity(g)
         assert (kappa, list(vcut.members)) == (e["kappa"], e["vertex_cut"]), e["g6"]
         assert (lam, [list(x) for x in ecut.members]) == (e["lambda"], e["edge_cut"]), e["g6"]
+    # the augmenting searches left after the short-path seeds and repair top-ups, pinned
+    # so that a flow change that searches more (or less) shows here
+    assert searches == {"vertex": 1863, "edge": 1495}
 
 
 def _relabeled(rng, g):
