@@ -31,7 +31,6 @@ from .graphs import (
     INDICES,
     MODES,
     Graph,
-    GraphFormatError,
     encode_graph6,
     format_edge_list,
     m1,
@@ -244,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

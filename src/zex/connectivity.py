@@ -9,15 +9,15 @@ them as a flow and augments up to the cap, so in dense graphs most flows
 end without a search, and so does many a witness repair.
 Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
 vertex 0; vertex connectivity is ``_vertex_scan``, flows between Even's
-pairs in the vertex-split digraph (``_split``).  Witnesses are the
-lexicographically smallest minimum cuts, found greedily by
+pairs (``_even_pairs``) in the vertex-split digraph (``_split``).
+Witnesses are the lexicographically smallest minimum cuts, found greedily by
 ``_lex_min_vertex_cut`` and ``_lex_min_edge_cut``.  Integer flows make
 every value exact; all functions are pure.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 # MODES is unused here; importing it keeps ``zex.connectivity.MODES`` working for callers
 from .graphs import MODES, Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
@@ -228,6 +228,15 @@ def _split(masks: Sequence[int]) -> list[int]:
     return split
 
 
+def _even_pairs(masks: Sequence[int], sources: int) -> Iterator[tuple[int, int]]:
+    """Even's pairs ``(s, t)`` in lexicographic order: each source ``s`` among
+    the first ``sources`` vertices with each later non-neighbor ``t``."""
+    full = (1 << len(masks)) - 1
+    for s in range(min(sources, len(masks))):
+        for t in _bits(full & ~masks[s] & -(2 << s)):
+            yield s, t
+
+
 def _vertex_scan(masks: Sequence[int], bound: int) -> int:
     """min(bound, kappa) of the graph of ``masks``; a complete graph, which has no
     non-adjacent pair, reads as ``bound``.
@@ -239,7 +248,9 @@ def _vertex_scan(masks: Sequence[int], bound: int) -> int:
     Hakimi, Networks 1984): of the first kappa + 1 vertices one lies outside
     a minimum cut ``S``, and the first such one has all smaller vertices in
     ``S``, so ``S`` separates it from a later vertex.  The scan therefore
-    stops at the first source whose rank is not below the best value found.
+    stops at the first pair whose source's rank is not below the best value
+    found: while that value exceeds kappa, the separating pair's source
+    ranks at most kappa, below it, so the scan reaches that pair first.
     """
     full = (1 << len(masks)) - 1
     if bound <= 1:
@@ -247,13 +258,10 @@ def _vertex_scan(masks: Sequence[int], bound: int) -> int:
         return bound if _reach(masks, 1, full) == full else 0
     split = _split(masks)
     best = bound
-    for s in range(len(masks)):
+    for s, t in _even_pairs(masks, len(masks)):
         if s >= best:
             break
-        for t in _bits(full & ~masks[s] & -(2 << s)):
-            best = _vertex_flow(split, s, t, best)
-            if not best:
-                break
+        best = _vertex_flow(split, s, t, best)
     return best
 
 
@@ -342,16 +350,12 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     masks = g.neighbor_masks
     if kappa == 1:
         # the cut is one cut vertex: the first whose removal disconnects g, no flow needed
-        return next(_vertex_cuts(masks, g.n, 1), ())
+        return next(_vertex_cuts(masks, 1), ())
     full = (1 << g.n) - 1
     split = _split(masks)
     # Even's pairs with their kept flows as paths and inner-vertex bitmask; the all-ones
     # mask of a new pair makes its first read build its flow
-    pairs = [
-        [s, t, [], full]
-        for s in range(min(kappa + 1, g.n))
-        for t in _bits(full & ~masks[s] & -(2 << s))
-    ]
+    pairs = [[s, t, [], full] for s, t in _even_pairs(masks, kappa + 1)]
     chosen: list[int] = []
     alive = full
     for v in range(g.n):

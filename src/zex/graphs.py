@@ -2,8 +2,8 @@
 
 Vertices are dense integers ``0..n-1``.  Graphs are immutable after
 construction, so values can be shared freely (hashable, usable as dict
-keys, safe across worker processes).  A ``Graph`` stores only neighbor
-bitmasks and degrees; its edges are read off the bitmasks in O(n + m).
+keys, safe across worker processes).  A ``Graph`` stores only its order
+and neighbor bitmasks; its degrees and edges are read off the bitmasks.
 
 The two degree-based indices computed here are
 
@@ -89,12 +89,12 @@ class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
     The adjacency relation is symmetric and irreflexive; loops and
-    duplicate edges are rejected at construction time.  Only ``n``, the
-    neighbor bitmasks and the degrees are stored: ``edges()``, ``num_edges``,
+    duplicate edges are rejected at construction time.  Only ``n`` and the
+    neighbor bitmasks are stored: the degrees, ``edges()``, ``num_edges``,
     the hash and the repr are derived, each in O(n + m) integer operations.
     """
 
-    __slots__ = ("n", "_masks", "_degrees")
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -111,7 +111,6 @@ class Graph:
             masks[v] |= 1 << u
         self.n = n
         self._masks = tuple(masks)
-        self._degrees = tuple(m.bit_count() for m in masks)
 
     @property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -120,17 +119,17 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(self._degrees) // 2
+        return sum(map(int.bit_count, self._masks)) // 2
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``, in lexicographic order."""
         return tuple(_mask_edges(self._masks))
 
     def degree(self, u: int) -> int:
-        return self._degrees[u]
+        return self._masks[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return self._degrees
+        return tuple(map(int.bit_count, self._masks))
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -243,7 +242,7 @@ def min_degree(g: Graph) -> int:
     """Minimum vertex degree; 0 for edgeless graphs.  Requires ``n >= 1``."""
     if g.n < 1:
         raise ValueError("min_degree requires at least one vertex")
-    return min(g.degrees())
+    return min(map(int.bit_count, g.neighbor_masks))
 
 
 def _reach(masks: Sequence[int], start_bit: int, alive: int) -> int:
@@ -262,11 +261,11 @@ def _reach(masks: Sequence[int], start_bit: int, alive: int) -> int:
     return seen
 
 
-def _vertex_cuts(masks: Sequence[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The ``k``-subsets of ``0..n-1`` whose removal disconnects the rest,
+def _vertex_cuts(masks: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
+    """The ``k``-subsets of the vertices whose removal disconnects the rest,
     in lexicographic order."""
-    full = (1 << n) - 1
-    for combo in combinations(range(n), k):
+    full = (1 << len(masks)) - 1
+    for combo in combinations(range(len(masks)), k):
         alive = full
         for v in combo:
             alive &= ~(1 << v)
@@ -302,10 +301,11 @@ def connected_components(g: Graph, excluded: frozenset[int] = frozenset()) -> li
 def bipartition_of(g: Graph) -> Optional[Bipartition]:
     """Two-color the graph, or return ``None`` when an odd cycle exists.
 
-    Coloring proceeds per connected component by breadth-first search from
-    the smallest unvisited vertex, which lands in ``X``; isolated vertices
-    therefore land in ``X`` as well.  It is the package's bipartiteness
-    check, and gives the classes that ``has_straddling_min_cut`` takes.
+    Coloring proceeds per connected component by a search that pops a
+    stack, from the smallest unvisited vertex, which lands in ``X``;
+    isolated vertices therefore land in ``X`` as well.  It is the package's
+    bipartiteness check, and gives the classes that
+    ``has_straddling_min_cut`` takes.
     """
     color = [-1] * g.n
     masks = g.neighbor_masks
@@ -420,10 +420,10 @@ def decode_graph6(data: bytes) -> Graph:
 MAX_CANONICAL_ORDER = 16
 
 
-def _refine(masks: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
+def _refine(masks: tuple[int, ...], colors: list[int]) -> list[int]:
     while True:
         keys = []
-        for v in range(n):
+        for v in range(len(masks)):
             nb = []
             m = masks[v]
             while m:
@@ -449,11 +449,11 @@ def _twin_cell(masks: tuple[int, ...], members: list[int]) -> bool:
     return all_open or all_closed
 
 
-def _canon_search(masks: tuple[int, ...], n: int, colors: list[int]) -> bytes:
+def _canon_search(masks: tuple[int, ...], colors: list[int]) -> bytes:
     """Least encoding over the leaves of the search tree under ``colors``."""
-    colors = _refine(masks, n, colors)
+    colors = _refine(masks, colors)
     cells: dict[int, list[int]] = {}
-    for v in range(n):
+    for v in range(len(masks)):
         cells.setdefault(colors[v], []).append(v)
     target = None
     for color in sorted(cells):
@@ -462,12 +462,12 @@ def _canon_search(masks: tuple[int, ...], n: int, colors: list[int]) -> bytes:
             target = members
             break
     if target is None:
-        return _pack_graph6(masks, sorted(range(n), key=lambda v: (colors[v], v)))
+        return _pack_graph6(masks, sorted(range(len(masks)), key=lambda v: (colors[v], v)))
     best = None
     for x in target:
         child = [c * 2 for c in colors]
         child[x] -= 1
-        enc = _canon_search(masks, n, child)
+        enc = _canon_search(masks, child)
         if best is None or enc < best:
             best = enc
     return best
@@ -482,7 +482,7 @@ def canonical_form(g: Graph) -> bytes:
     """
     if g.n > MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}")
-    return _canon_search(g.neighbor_masks, g.n, [0] * g.n)
+    return _canon_search(g.neighbor_masks, [0] * g.n)
 
 
 # -- edge-list text format ---------------------------------------------------

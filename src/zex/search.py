@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import time
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -139,23 +139,22 @@ def _connected_masks(parts: tuple[int, ...], row: int, columns: int) -> bool:
     return _join(parts, row) == (columns,)
 
 
-def _kappa_masks(masks: list[int], n: int, bound: int) -> int:
+def _kappa_masks(masks: list[int], bound: int) -> int:
     """Exact vertex connectivity of a connected graph given as bitmasks:
     the smallest cut size below ``bound``, else ``bound`` (the minimum
     degree is a valid bound, and ``n - 1`` makes no assumption)."""
     for k in range(1, bound):
-        if next(_vertex_cuts(masks, n, k), None) is not None:
+        if next(_vertex_cuts(masks, k), None) is not None:
             return k
     return bound
 
 
-def _kappa_prime_masks(masks: list[int], n: int, delta: int) -> int:
+def _kappa_prime_masks(masks: list[int], delta: int) -> int:
     """Exact edge connectivity of a connected graph with minimum degree
     ``delta``: minimum edge boundary over all proper vertex subsets
     containing vertex 0."""
-    full = (1 << n) - 1
     best = delta
-    for w in range(1, full, 2):  # subsets with vertex 0, excluding the full set
+    for w in range(1, (1 << len(masks)) - 1, 2):  # subsets with vertex 0, excluding the full set
         boundary = 0
         outside = ~w
         m = w
@@ -191,30 +190,30 @@ def _bipartite_masks(p: int, carried: list[int], row: int) -> list[int]:
     return _place_row(carried, p, p - 1, row)
 
 
-def _connectivity(masks: list[int], n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def _connectivity(masks: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     """``((kappa, kappa_prime), (M1, M2))`` of a connected graph given as
     bitmasks: the connectivity values in ``MODES`` order and the index
     values in ``INDICES`` order."""
     delta = min(map(int.bit_count, masks))
-    kappa = _kappa_masks(masks, n, delta)
+    kappa = _kappa_masks(masks, delta)
     # kappa <= kappa' <= delta
-    kappa_p = delta if kappa == delta else _kappa_prime_masks(masks, n, delta)
+    kappa_p = delta if kappa == delta else _kappa_prime_masks(masks, delta)
     return (kappa, kappa_p), _mask_indices(masks)
 
 
-def _classify(n: int, p: int, carried: list[int], row: int) -> Optional[tuple]:
+def _classify(p: int, carried: list[int], row: int) -> Optional[tuple]:
     """``(masks, (kappa, kappa_prime), (M1, M2))`` of the bipartite graph
     decoded by ``_bipartite_masks``, or None when it is disconnected (an
     isolated vertex included)."""
     masks = _bipartite_masks(p, carried, row)
-    full = (1 << n) - 1
+    full = (1 << len(masks)) - 1
     if _reach(masks, 1, full) != full:
         return None
-    return (masks, *_connectivity(masks, n))
+    return (masks, *_connectivity(masks))
 
 
-def _masks_to_graph(masks: list[int], n: int) -> Graph:
-    return Graph(n, _mask_edges(masks))
+def _masks_to_graph(masks: list[int]) -> Graph:
+    return Graph(len(masks), _mask_edges(masks))
 
 
 # -- brute-force connectivity (independent oracle route) ----------------------
@@ -225,7 +224,7 @@ def brute_force_vertex_connectivity(g: Graph) -> int:
         raise ValueError("connectivity requires at least one vertex")
     if not is_connected(g):
         return 0
-    return _kappa_masks(list(g.neighbor_masks), g.n, g.n - 1)
+    return _kappa_masks(list(g.neighbor_masks), g.n - 1)
 
 
 def brute_force_edge_connectivity(g: Graph) -> int:
@@ -234,7 +233,7 @@ def brute_force_edge_connectivity(g: Graph) -> int:
         raise ValueError("connectivity requires at least one vertex")
     if not is_connected(g):
         return 0
-    return _kappa_prime_masks(list(g.neighbor_masks), g.n, min_degree(g))
+    return _kappa_prime_masks(list(g.neighbor_masks), min_degree(g))
 
 
 # -- enumeration and extremal search ------------------------------------------
@@ -262,9 +261,9 @@ def enumerate_class(spec: SearchSpec) -> Iterator[Graph]:
             for i, row in enumerate(prefix):
                 carried = _place_row(carried, p, i, row)
             for row in range(top):
-                found = _classify(n, p, carried, row)
+                found = _classify(p, carried, row)
                 if found is not None and found[1][which] == spec.c:
-                    yield _masks_to_graph(found[0], n)
+                    yield _masks_to_graph(found[0])
 
 
 @cache
@@ -360,7 +359,7 @@ def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None
             key, aut = _class_key(masks, p)
             if (p, key) in classes:
                 continue
-            classes[(p, key)] = (labelings // aut, *_connectivity(masks, n), tuple(masks))
+            classes[(p, key)] = (labelings // aut, *_connectivity(masks), tuple(masks))
 
     walk(0, [0] * n, (), range(lo, hi), (1 << (q - 1)) - 1)
     return classes
@@ -375,9 +374,6 @@ def _merge_cells(parts: Iterable[dict]) -> list[tuple]:
         for key, record in part.items():
             classes.setdefault(key, record)
     return list(classes.values())
-
-
-_sweep_cache: dict[int, list[tuple]] = {}
 
 
 def _sweep_tasks(n: int) -> list[tuple[int, int, int, int]]:
@@ -400,15 +396,14 @@ def _run_task(task: tuple[int, int, int, int], *classes: dict) -> dict:
         ) from exc
 
 
+@lru_cache(maxsize=1)
 def _sweep(n: int, workers: int = 1) -> list[tuple]:
     """The class records of the full order-``n`` sweep (see ``_sweep_chunk``):
     a serial sweep fills one table, and a pooled one hands each task table to
-    ``_merge_cells`` as it arrives.  Only the latest order is cached, as
-    callers walk orders in turn."""
+    ``_merge_cells`` as it arrives.  The cache, keyed by the order and the
+    worker count, keeps only the latest sweep, as callers walk orders in turn;
+    a sweep also clears the ``_canonical`` memo of the order before."""
     _check_sweep_order(n)
-    cached = _sweep_cache.get(n)
-    if cached is not None:
-        return cached
     tasks = _sweep_tasks(n)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -422,17 +417,15 @@ def _sweep(n: int, workers: int = 1) -> list[tuple]:
         for task in tasks:
             _run_task(task, classes)
         result = list(classes.values())
-    _sweep_cache.clear()
     _canonical.cache_clear()
-    _sweep_cache[n] = result
     return result
 
 
 @cache
 def _canonical(masks: tuple[int, ...]) -> str:
-    """graph6 of the canonical form of the graph of ``masks``; the memo is
-    cleared with ``_sweep_cache``, so it holds the graphs of one order."""
-    return canonical_form(_masks_to_graph(masks, len(masks))).decode("ascii")
+    """graph6 of the canonical form of the graph of ``masks``; each new
+    ``_sweep`` clears the memo, so it holds the graphs of one order."""
+    return canonical_form(_masks_to_graph(masks)).decode("ascii")
 
 
 def _dedup_isomorphic(ties: list[tuple[int, ...]]) -> list[str]:
@@ -507,7 +500,7 @@ def minimum_vertex_cuts(g: Graph) -> list[frozenset[int]]:
     if kappa == 0:
         return []
     # a complete graph has no disconnecting (n - 1)-subset, so it yields none
-    return [frozenset(cut) for cut in _vertex_cuts(g.neighbor_masks, g.n, kappa)]
+    return [frozenset(cut) for cut in _vertex_cuts(g.neighbor_masks, kappa)]
 
 
 def has_straddling_min_cut(g: Graph, b: Bipartition) -> bool:

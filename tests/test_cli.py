@@ -206,7 +206,7 @@ class TestVerifyCommand:
         main(["verify", "--n-min", "6", "--n-max", "6", "--out", str(serial)])
         import zex.search as search_module
 
-        search_module._sweep_cache.clear()
+        search_module._sweep.cache_clear()
         monkeypatch.setenv("ZEX_THREADS", "2")
         main(["verify", "--n-min", "6", "--n-max", "6", "--out", str(threaded)])
         ps, pt = json.loads(serial.read_text()), json.loads(threaded.read_text())
@@ -247,7 +247,7 @@ class TestVerifyCommand:
         monkeypatch.delenv("ZEX_THREADS", raising=False)
         main(["verify", "--n-min", "6", "--n-max", "6", "--out", str(serial)])
         serial_out = capsys.readouterr().out
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep.cache_clear()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("ZEX_THREADS", "0")

@@ -108,15 +108,17 @@ def test_witnesses_match_the_committed_reference(monkeypatch):
     with WITNESS_REFERENCE.open() as fh:
         entries = list(json.load(fh)["graphs"].values())
     assert len(entries) == 362
-    augment = connectivity._augment
-    searches = Counter()
+    calls = Counter()
     route = None
 
-    def counting(arcs, fwd, back, s, t):
-        searches[route] += 1
-        return augment(arcs, fwd, back, s, t)
+    def counting(name, fn):
+        def counted(*args):
+            calls[route, name] += 1
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(connectivity, "_augment", counting)
+    for name in ("_augment", "_vertex_flow", "_edge_flow"):
+        monkeypatch.setattr(connectivity, name, counting(name, getattr(connectivity, name)))
     for e in entries:
         g = decode_graph6(e["g6"].encode())
         route = "vertex"
@@ -125,9 +127,13 @@ def test_witnesses_match_the_committed_reference(monkeypatch):
         lam, ecut = edge_connectivity(g)
         assert (kappa, list(vcut.members)) == (e["kappa"], e["vertex_cut"]), e["g6"]
         assert (lam, [list(x) for x in ecut.members]) == (e["lambda"], e["edge_cut"]), e["g6"]
+    # the flows of the value scans (Even's pairs for kappa, sinks t != 0 for lambda) and
     # the augmenting searches left after the short-path seeds and repair top-ups, pinned
-    # so that a flow change that searches more (or less) shows here
-    assert searches == {"vertex": 1863, "edge": 1495}
+    # so that a scan or flow change that runs more (or fewer) shows here
+    assert calls == {
+        ("vertex", "_vertex_flow"): 8138, ("vertex", "_augment"): 1863,
+        ("edge", "_edge_flow"): 13516, ("edge", "_augment"): 1495,
+    }
 
 
 def _relabeled(rng, g):
@@ -153,7 +159,7 @@ def test_lex_min_vertex_cut_matches_the_first_brute_force_cut():
         ]
     for g in cases:
         kappa = vertex_connectivity_value(g)
-        expected = next(_vertex_cuts(list(g.neighbor_masks), g.n, kappa), ())
+        expected = next(_vertex_cuts(list(g.neighbor_masks), kappa), ())
         assert _lex_min_vertex_cut(g, kappa) == expected, g
 
 

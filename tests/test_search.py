@@ -227,7 +227,7 @@ class TestSearchMax:
         assert forms[0] != forms[1]
         records = [(720, (1, 1), (m1(g), m2(g)), g.neighbor_masks) for g in tied]
         assert records[0][2] == records[1][2] == (32, 35)
-        monkeypatch.setattr(search_module, "_sweep_cache", {7: records})
+        monkeypatch.setattr(search_module, "_sweep", lambda n, workers: records)
         report = search_max(SearchSpec(7, "vertex", 1, "M1"))
         assert report.note == "2 non-isomorphic maximizers tie"
         assert report.maximizers == tuple(forms)
@@ -236,9 +236,8 @@ class TestSearchMax:
     def test_workers_do_not_change_results(self):
         import zex.search as search_module
 
-        search_module._sweep_cache.pop(5, None)
+        search_module._sweep.cache_clear()
         serial = search_max(SearchSpec(5, "vertex", 1, "M1"))
-        search_module._sweep_cache.pop(5, None)
         parallel = search_max(SearchSpec(5, "vertex", 1, "M1"), workers=3)
         assert serial.max_value == parallel.max_value
         assert serial.maximizers == parallel.maximizers
@@ -268,11 +267,11 @@ class TestWeightedSweep:
             report = search_max(SearchSpec(n, mode, 1, "M1"), at_least=True)
             assert report.graphs_enumerated == expected[n], n
 
-    def test_order10_class_totals_match_an_independent_count(self, monkeypatch):
-        # one order-10 sweep (about 3 s) serves both modes; the cache keeps only the latest order
+    def test_order10_class_totals_match_an_independent_count(self):
+        # one order-10 sweep (about 3 s) serves both modes; the cache keeps only the latest sweep
         import zex.search as search_module
 
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep.cache_clear()
         expected = sum(_connected_spanning(p, 10 - p) for p in range(6))
         assert expected == 34829977
         for mode in ("vertex", "edge"):
@@ -346,14 +345,13 @@ class TestWeightedSweep:
                     assert union.max_value == best, (mode, c, index)
                     assert list(union.maximizers) == sorted(expected), (mode, c, index)
 
-    def test_workers_give_equal_reports(self, monkeypatch):
+    def test_workers_give_equal_reports(self):
         import zex.search as search_module
 
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep.cache_clear()
         specs = [SearchSpec(7, mode, c, index)
                  for mode in ("vertex", "edge") for c in (1, 2, 3) for index in ("M1", "M2")]
         serial = [search_max(spec).to_dict() for spec in specs]
-        search_module._sweep_cache.clear()
         pooled = [search_max(spec, workers=2).to_dict() for spec in specs]
         for d in serial + pooled:
             d.pop("elapsed")
@@ -404,7 +402,7 @@ def _flat_chunk(n, p, lo, hi):
     for first in range(lo, hi):
         for rest in itertools.combinations_with_replacement(range(first, 1 << (n - p)), p - 1):
             rows = (first, *rest)
-            found = _classify(n, p, _flat_carried(n, p, rows[:-1]), rows[-1])
+            found = _classify(p, _flat_carried(n, p, rows[:-1]), rows[-1])
             if found is None:
                 continue
             masks, values, _ = found
@@ -630,7 +628,7 @@ class TestPoolSize:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep.cache_clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert len(search_module._sweep_tasks(n)) == {5: 7, 9: 26}[n]
         search_module._sweep(n, workers=10_000)
@@ -645,7 +643,7 @@ class TestPoolSize:
             raise AssertionError("no pool expected")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep.cache_clear()
         search_module._sweep(6, workers=1)
 
     def test_importing_the_cli_loads_no_pool(self):
@@ -661,10 +659,15 @@ class TestSweepCache:
     def test_holds_only_the_latest_order(self, monkeypatch):
         import zex.search as search_module
 
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
-        search_module._sweep(6)
-        search_module._sweep(7)
-        assert list(search_module._sweep_cache) == [7]
+        search_module._sweep.cache_clear()
+        search_module._sweep(6, 1)
+        records = search_module._sweep(7, 1)
+        assert search_module._sweep(7, 1) is records
+        assert search_module._sweep.cache_info()[:4] == (1, 2, 1, 1)  # hits, misses, max, size
+        # another worker count sweeps afresh (serially here, with one CPU), not from the cache
+        monkeypatch.setattr(search_module.os, "cpu_count", lambda: 1)
+        again = search_module._sweep(7, 2)
+        assert again is not records and again == records
 
 
 class TestSweepWorkIsDoneOnce:
@@ -675,12 +678,12 @@ class TestSweepWorkIsDoneOnce:
         classify = search_module._connectivity
         calls = Counter()
 
-        def counting(masks, n):
-            calls[n] += 1
-            return classify(masks, n)
+        def counting(masks):
+            calls[len(masks)] += 1
+            return classify(masks)
 
         monkeypatch.setattr(search_module, "_connectivity", counting)
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep.cache_clear()
         for n in range(6, 10):
             search_module._sweep(n)
         assert calls == {6: 20, 7: 44, 8: 239, 9: 730}
@@ -703,7 +706,7 @@ class TestSweepWorkIsDoneOnce:
 
         monkeypatch.delenv("ZEX_THREADS", raising=False)
         monkeypatch.setattr(search_module, "canonical_form", counting)
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep.cache_clear()
         search_module._canonical.cache_clear()
         assert main(["verify", "--n-min", "6", "--n-max", "9"]) == 0
         assert capsys.readouterr().out.endswith("all_match=True\n")
@@ -755,7 +758,7 @@ class TestSweepTaskError:
             raise ZeroDivisionError("bad row")
 
         monkeypatch.setattr(search_module, "_sweep_chunk", broken)
-        monkeypatch.setattr(search_module, "_sweep_cache", {})
+        search_module._sweep.cache_clear()
         return search_module
 
     def test_serial_failure_names_the_task(self, monkeypatch):
