@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-# MODES is unused here; importing it keeps ``zex.connectivity.MODES`` working for callers
-from .graphs import MODES, Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
+from .graphs import Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
 
 __all__ = [
     "CutWitness",

@@ -126,6 +126,8 @@ class Graph:
         return tuple(_mask_edges(self._masks))
 
     def degree(self, u: int) -> int:
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} out of range for n={self.n}")
         return self._masks[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -234,7 +236,11 @@ def m2(g: Graph) -> int:
 
 
 def index_value(name: str, g: Graph) -> int:
-    """The index called ``name`` (one of ``INDICES``) of ``g``."""
+    """The index called ``name`` (one of ``INDICES``) of ``g``.  It calls
+    ``m1`` or ``m2``, so a traced run (``perfbench/tracer.py``) counts each
+    read under their names."""
+    if name not in INDICES:
+        raise ValueError(f"index must be one of {INDICES}, got {name!r}")
     return m1(g) if name == "M1" else m2(g)
 
 

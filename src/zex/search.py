@@ -24,9 +24,10 @@ serial sweep passes one class table through all its tasks; worker
 processes fill a table per task, which ``_merge_cells`` unions in task
 order as each arrives, so reports do not depend on the worker count.
 
-Scale caps: full sweeps support ``n <= 10`` (``MAX_SWEEP_ORDER``); the
-canonical form, which lives in ``graphs``, supports ``n <= 16``
-(``graphs.MAX_CANONICAL_ORDER``).
+Scale caps: ``search_max`` and ``enumerate_class`` support ``n <= 10``
+(``MAX_SWEEP_ORDER``), checked where a caller comes in, so ``_sweep``
+itself runs any order; the canonical form, which lives in ``graphs``,
+supports ``n <= 16`` (``graphs.MAX_CANONICAL_ORDER``).
 """
 
 from __future__ import annotations
@@ -397,34 +398,31 @@ def _run_task(task: tuple[int, int, int, int], *classes: dict) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _sweep(n: int, workers: int = 1) -> list[tuple]:
+def _sweep(n: int, workers: int, /) -> list[tuple]:
     """The class records of the full order-``n`` sweep (see ``_sweep_chunk``):
     a serial sweep fills one table, and a pooled one hands each task table to
-    ``_merge_cells`` as it arrives.  The cache, keyed by the order and the
-    worker count, keeps only the latest sweep, as callers walk orders in turn;
-    a sweep also clears the ``_canonical`` memo of the order before."""
-    _check_sweep_order(n)
+    ``_merge_cells`` as it arrives.  Both arguments are positional, so the
+    cache keys a call one way; it keeps only the latest sweep, as callers
+    walk orders in turn.  Any order runs: ``search_max`` checks the cap."""
     tasks = _sweep_tasks(n)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            result = _merge_cells(pool.map(_run_task, tasks))
-    else:
-        # one table, so a class that a later task meets again is skipped
-        classes: dict = {}
-        for task in tasks:
-            _run_task(task, classes)
-        result = list(classes.values())
-    _canonical.cache_clear()
-    return result
+            return _merge_cells(pool.map(_run_task, tasks))
+    # one table, so a class that a later task meets again is skipped
+    classes: dict = {}
+    for task in tasks:
+        _run_task(task, classes)
+    return list(classes.values())
 
 
 @cache
 def _canonical(masks: tuple[int, ...]) -> str:
-    """graph6 of the canonical form of the graph of ``masks``; each new
-    ``_sweep`` clears the memo, so it holds the graphs of one order."""
+    """graph6 of the canonical form of the graph of ``masks``, kept for the
+    life of the process: only the ties and predicted graphs that reports
+    name pass through it, a few dozen over orders 6-10."""
     return canonical_form(_masks_to_graph(masks)).decode("ascii")
 
 
@@ -444,7 +442,9 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     ``enumerate_class`` yields them.  Maximizers are reported as the
     sorted graph6 strings of their canonical forms, one per isomorphism
     class; ``matches`` is true when the predicted graph is one of them.
+    Orders above ``MAX_SWEEP_ORDER`` raise ``ValueError`` before any sweep.
     """
+    _check_sweep_order(spec.n)
     start = time.perf_counter()
     which, i = MODES.index(spec.mode), INDICES.index(spec.index)
     values = range(spec.c, spec.n // 2 + 1) if at_least else (spec.c,)

@@ -20,6 +20,7 @@ from zex import (
     decode_graph6,
     encode_graph6,
     format_edge_list,
+    index_value,
     m1,
     m2,
     min_degree,
@@ -168,11 +169,13 @@ class TestConnectedComponents:
         assert connected_components(Graph(0)) == []
 
     def test_labels_outside_the_graph_are_rejected(self):
-        # once silently dropped, so a set with a stray label read as the set without it
-        for bad in (-1, 7):
-            with pytest.raises(ValueError) as exc:
-                connected_components(P4, frozenset({2, bad}))
-            assert str(exc.value) == f"vertex {bad} out of range for n=4"
+        # once silently dropped, so a set with a stray label read as the set without it;
+        # Graph.degree read -1 as the last vertex and raised IndexError at n
+        for bad in (-1, 4, 7):
+            for call in (lambda: connected_components(P4, frozenset({2, bad})), lambda: P4.degree(bad)):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"vertex {bad} out of range for n=4"
 
     @settings(max_examples=200, derandomize=True)
     @given(graphs(max_n=9), st.data())
@@ -205,6 +208,15 @@ class TestIndices:
     def test_m2_family_7_1_3(self):
         # frozen from the edge-wise product-sum oracle over the 10 edges
         assert m2(build_family(FamilyParams(7, 1, 3))) == 94
+
+    def test_index_value_reads_by_name(self):
+        g = complete_bipartite(2, 3)
+        assert (index_value("M1", g), index_value("M2", g)) == (m1(g), m2(g)) == (30, 36)
+        # any other name once read as M2
+        for bad in ("m1", "M3", ""):
+            with pytest.raises(ValueError) as exc:
+                index_value(bad, g)
+            assert str(exc.value) == f"index must be one of ('M1', 'M2'), got {bad!r}"
 
     def test_min_degree(self):
         assert min_degree(complete_bipartite(2, 2)) == 2

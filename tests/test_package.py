@@ -67,8 +67,8 @@ def test_earlier_names_resolve_to_their_module_objects():
         for name in names:
             assert getattr(zex, name) is getattr(module, name), name
     assert set(zex.__all__) - set(earlier) == {"MODES", "INDICES", "index_value", "SweepTaskError"}
-    # the mode names moved beside the index names, and stay bound at their earlier home
-    assert zex.MODES is zex.graphs.MODES is zex.connectivity.MODES
+    # the mode names live beside the index names
+    assert zex.MODES is zex.graphs.MODES
 
 
 def test_all_is_the_union_of_the_module_lists():

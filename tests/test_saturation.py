@@ -38,19 +38,11 @@ from zex import (
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple:
     """One ``(graph, (kappa, lambda), (M1, M2))`` per connected bipartite class of
-    order ``n``, from the sweep's class records; past ``MAX_SWEEP_ORDER`` the
-    sweep tasks run directly into one table."""
-    if n <= search_module.MAX_SWEEP_ORDER:
-        records = search_module._sweep(n)
-    else:
-        table = {}
-        for task in search_module._sweep_tasks(n):
-            search_module._sweep_chunk(task, table)
-        records = search_module._merge_cells([table])
+    order ``n``, from the serial sweep's class records at any order."""
     return tuple(
         (Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1]),
          connectivity, values)
-        for _, connectivity, values, masks in records
+        for _, connectivity, values, masks in search_module._sweep(n, 1)
     )
 
 

@@ -155,6 +155,8 @@ class TestEnumerateClass:
     def test_rejects_orders_beyond_sweep_cap(self):
         with pytest.raises(ValueError, match="n <= 10"):
             next(enumerate_class(SearchSpec(11, "vertex", 1, "M1")))
+        with pytest.raises(ValueError, match="n <= 10"):
+            search_max(SearchSpec(11, "vertex", 1, "M1"))
 
 
 class TestSearchMax:
@@ -280,16 +282,12 @@ class TestWeightedSweep:
 
     @pytest.mark.slow
     def test_order11_through_its_tasks(self):
-        # MAX_SWEEP_ORDER stays 10, so run order 11's tasks directly, with one class table
+        # MAX_SWEEP_ORDER stays 10 for search_max; the sweep itself takes order 11
         import zex.search as search_module
         from zex import predicted_extremal
 
-        classes = {}
-        for task in search_module._sweep_tasks(11):
-            search_module._sweep_chunk(task, classes)
-        assert len(classes) == 25598  # connected bipartite graphs of order 11
-        records = search_module._merge_cells([classes])
-        assert len(records) == 25598
+        records = search_module._sweep(11, 1)
+        assert len(records) == 25598  # connected bipartite graphs of order 11
         expected = sum(_connected_spanning(p, 11 - p) for p in range(6))
         assert expected == 973422173
         counts = Counter()
@@ -395,7 +393,7 @@ def _flat_carried(n, p, prefix):
 
 def _flat_chunk(n, p, lo, hi):
     """Reference for one sweep task: the flat row-sorted walk, one ``_classify`` per tuple."""
-    from zex.connectivity import MODES
+    from zex.graphs import MODES
     from zex.search import _classify
 
     cells = {}
@@ -631,7 +629,7 @@ class TestPoolSize:
         search_module._sweep.cache_clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert len(search_module._sweep_tasks(n)) == {5: 7, 9: 26}[n]
-        search_module._sweep(n, workers=10_000)
+        search_module._sweep(n, 10_000)
         assert started == [expected]
 
     def test_single_worker_starts_no_pool(self, monkeypatch):
@@ -644,7 +642,7 @@ class TestPoolSize:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         search_module._sweep.cache_clear()
-        search_module._sweep(6, workers=1)
+        search_module._sweep(6, 1)
 
     def test_importing_the_cli_loads_no_pool(self):
         done = run_python(
@@ -664,6 +662,11 @@ class TestSweepCache:
         records = search_module._sweep(7, 1)
         assert search_module._sweep(7, 1) is records
         assert search_module._sweep.cache_info()[:4] == (1, 2, 1, 1)  # hits, misses, max, size
+        # one spelling only: a default or a keyword once made another cache key and sweep
+        for call in (lambda: search_module._sweep(7), lambda: search_module._sweep(7, workers=1)):
+            with pytest.raises(TypeError):
+                call()
+        assert search_module._sweep(7, 1) is records
         # another worker count sweeps afresh (serially here, with one CPU), not from the cache
         monkeypatch.setattr(search_module.os, "cpu_count", lambda: 1)
         again = search_module._sweep(7, 2)
@@ -685,7 +688,7 @@ class TestSweepWorkIsDoneOnce:
         monkeypatch.setattr(search_module, "_connectivity", counting)
         search_module._sweep.cache_clear()
         for n in range(6, 10):
-            search_module._sweep(n)
+            search_module._sweep(n, 1)
         assert calls == {6: 20, 7: 44, 8: 239, 9: 730}
         monkeypatch.setattr(search_module, "_connectivity", classify)
         for n in range(6, 10):
@@ -772,7 +775,7 @@ class TestSweepTaskError:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         first = search_module._sweep_tasks(6)[0]
         with pytest.raises(search_module.SweepTaskError) as exc:
-            search_module._sweep(6, workers=1)
+            search_module._sweep(6, 1)
         assert str(exc.value) == (
             f"sweep task (n, p, lo, hi) = {first} failed: ZeroDivisionError: bad row"
         )
@@ -798,7 +801,7 @@ class TestSweepTaskError:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
         with pytest.raises(search_module.SweepTaskError, match=r"\(6, 1, 1, 2\)"):
-            search_module._sweep(6, workers=2)
+            search_module._sweep(6, 2)
 
     def test_error_survives_pickling(self):
         import pickle
