@@ -7,37 +7,61 @@ constructs the candidate extremal family of bipartite graphs, applies
 index-increasing rewrites, and verifies the predicted maximizers by
 exhaustive search at small order.
 
-The public names are those of the modules' ``__all__`` lists.  Each module
-is imported on first use of one of its names (PEP 562), so a caller that
+The public names are those of the modules' ``__all__`` lists, and
+``_OWNER`` maps each of them to the module that lists it.  That module
+alone is imported on first use of the name (PEP 562), so a caller that
 only decodes graphs and computes connectivity loads ``graphs`` and
-``connectivity`` and nothing else.
+``connectivity``, and ``zex.predicted_extremal`` loads ``graphs`` and
+``families``, and nothing else.
 """
 
 from importlib import import_module
 
-# the modules whose ``__all__`` lists make up the package's, in lookup order
-_MODULES = ("graphs", "connectivity", "families", "transforms", "search")
+# each module's ``__all__``, in order; tests/test_package.py checks the copy
+_NAMES = {
+    "graphs": (
+        "Graph", "Bipartition", "GraphFormatError", "m1", "m2", "MODES", "INDICES",
+        "index_value", "min_degree", "bipartition_of", "is_connected", "connected_components",
+        "encode_graph6", "decode_graph6", "canonical_form", "parse_edge_list",
+        "format_edge_list", "read_graph_file",
+    ),
+    "connectivity": (
+        "CutWitness", "vertex_connectivity", "edge_connectivity", "vertex_connectivity_value",
+        "edge_connectivity_value", "is_k_connected",
+    ),
+    "families": (
+        "FamilyParams", "complete_bipartite", "build_family", "family_m1", "family_m2",
+        "predicted_extremal",
+    ),
+    "transforms": ("ShiftSpec", "add_edge", "shift_neighbors", "case1_rewire", "case2_rewire"),
+    "search": (
+        "SearchSpec", "SearchReport", "enumerate_class", "search_max",
+        "brute_force_vertex_connectivity", "brute_force_edge_connectivity",
+        "minimum_vertex_cuts", "has_straddling_min_cut", "cut_component_profile",
+        "SweepTaskError",
+    ),
+}
+# public name -> the module that owns it
+_OWNER = {name: module for module, names in _NAMES.items() for name in names}
 
+__all__ = list(_OWNER)
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name == "__all__":
-        value = [public for module in map(_module, _MODULES) for public in module.__all__]
-    elif name in _MODULES:
+    if name in _NAMES:
         value = _module(name)
+    elif name in _OWNER:
+        value = getattr(_module(_OWNER[name]), name)
     else:
-        owner = next((module for module in map(_module, _MODULES) if name in module.__all__), None)
-        if owner is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(owner, name)
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # bound here, the next lookup is a plain attribute read
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *(globals().get("__all__") or __getattr__("__all__"))})
+    return sorted({*globals(), *__all__})
 
 
 def _module(short: str):

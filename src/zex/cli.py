@@ -8,17 +8,26 @@ The ``ZEX_THREADS`` environment variable caps the sweep worker count for
 Reports are reproducible byte for byte except for the ``elapsed`` timing
 fields.
 
-Each command loads only the layers it runs: the flow module
-``connectivity`` is imported by ``zex connectivity`` alone, so a cold
-``zex verify`` process loads ``graphs``, ``families`` and ``search``.
+Each command loads only the layers it runs. ``import zex.cli`` loads
+``graphs`` and ``families``; the flow module ``connectivity`` is imported
+by ``zex connectivity`` alone, and the sweep module ``search`` by ``zex
+search`` and ``zex verify`` alone.
+
+When ``main`` reads the process's own command line (``argv`` is None, as
+for the ``zex`` script and ``python -m zex.cli``), it first freezes the
+start-up heap with ``gc.freeze()``, so the collections at interpreter
+shutdown skip every object loaded before the command ran.  A caller that
+passes ``argv`` keeps its heap as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .families import (
     MIN_FAMILY_ORDER,
@@ -37,7 +46,9 @@ from .graphs import (
     m2,
     read_graph_file,
 )
-from .search import MAX_SWEEP_ORDER, SearchSpec, search_max
+
+if TYPE_CHECKING:
+    from .search import SearchSpec
 
 _CSV_COLUMNS = ("n", "mode", "c", "index", "max", "predicted", "match", "num_maximizers")
 
@@ -115,6 +126,8 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchSpec, search_max
+
     spec = SearchSpec(args.n, args.mode, args.c, args.index)
     report = search_max(spec, workers=_workers_from_env(), at_least=args.at_least)
     payload = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -128,6 +141,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _verify_grid(args: argparse.Namespace) -> list[SearchSpec]:
     """The ``verify`` cells in report order: by order, mode, ``c`` and index.
     Unknown names are left to ``SearchSpec``."""
+    from .search import MAX_SWEEP_ORDER, SearchSpec
+
     if not MIN_FAMILY_ORDER <= args.n_min <= args.n_max <= MAX_SWEEP_ORDER:
         raise ValueError(
             f"verification orders must satisfy {MIN_FAMILY_ORDER} <= n_min <= "
@@ -143,6 +158,8 @@ def _verify_grid(args: argparse.Namespace) -> list[SearchSpec]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .search import search_max
+
     cells = _verify_grid(args)
     workers = _workers_from_env()
     reports = [search_max(spec, workers=workers) for spec in cells]
@@ -239,6 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # a command-line process exits once the command is done: its shutdown
+        # collections need not walk the heap that start-up left
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,5 +1,5 @@
-"""Shared graph generators for the test suite, and ``run_python`` for
-tests that need a fresh interpreter with a timeout.
+"""Shared graph generators for the test suite, and ``run_python`` and
+``run_zex`` for tests that need a fresh interpreter with a timeout.
 
 Randomized suites use ``random.Random`` seeded with DEFAULT_SEED for CI
 determinism; hypothesis-based properties derandomize themselves.
@@ -28,11 +28,19 @@ def run_python(source: str, *argv: str, timeout: float = 60) -> subprocess.Compl
 
     A run that outlasts ``timeout`` seconds raises ``subprocess.TimeoutExpired``.
     """
+    return _run_fresh(["-c", source, *argv], timeout)
+
+
+def run_zex(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``python -m zex.cli`` with ``argv``, in a fresh interpreter as ``run_python`` does."""
+    return _run_fresh(["-m", "zex.cli", *argv], timeout)
+
+
+def _run_fresh(args: list[str], timeout: float) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", source, *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 

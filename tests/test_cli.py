@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import run_python
+from conftest import run_python, run_zex
 from zex import (
     FamilyParams,
     Graph,
@@ -297,22 +297,66 @@ class TestUsageErrors:
 
 class TestInternalErrors:
     def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
-        import zex.cli as cli_module
+        import zex.search as search_module
 
         def broken(*args, **kwargs):
             raise RuntimeError("worker pool broke")
 
-        monkeypatch.setattr(cli_module, "search_max", broken)
+        monkeypatch.setattr(search_module, "search_max", broken)
         assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 3
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: worker pool broke\n"
 
     def test_usage_errors_keep_exit_2(self, monkeypatch, capsys):
-        import zex.cli as cli_module
+        import zex.search as search_module
 
         def rejects(*args, **kwargs):
             raise ValueError("bad cell")
 
-        monkeypatch.setattr(cli_module, "search_max", rejects)
+        monkeypatch.setattr(search_module, "search_max", rejects)
         assert main(["search", "--n", "6", "--mode", "vertex", "--c", "1", "--index", "M1"]) == 2
         assert capsys.readouterr().err == "error: bad cell\n"
+
+
+# calls ``main`` as given, in a fresh interpreter; prints its exit code and then the
+# number of objects that ``gc.freeze()`` moved out of the collector's reach
+FREEZE = """
+import gc, sys
+from zex.cli import main
+code = {call}
+print(code, gc.get_freeze_count())
+"""
+
+
+class TestProcessEntry:
+    """``main()`` on the process's own command line freezes the start-up heap; a
+    caller that passes ``argv`` keeps its heap, and the reports stay the same."""
+
+    @pytest.mark.parametrize("call,frozen", [("main()", True), ("main(sys.argv[1:])", False)])
+    def test_only_the_process_command_line_is_frozen(self, k22_file, call, frozen):
+        done = run_python(FREEZE.format(call=call), "index", k22_file)
+        assert done.returncode == 0, done.stderr
+        assert "M1=16 M2=16" in done.stdout
+        code, count = done.stdout.split()[-2:]
+        assert code == "0"
+        assert (int(count) > 0) is frozen
+
+    def test_module_entry_writes_the_in_process_reports(self, tmp_path, capsys):
+        grid = ["verify", "--n-min", "6", "--n-max", "7"]
+        for fmt in ("json", "csv"):
+            cold, warm = tmp_path / f"cold.{fmt}", tmp_path / f"warm.{fmt}"
+            done = run_zex(*grid, "--format", fmt, "--out", str(cold))
+            assert done.returncode == 0, done.stderr
+            assert main([*grid, "--format", fmt, "--out", str(warm)]) == 0
+            assert done.stdout == capsys.readouterr().out
+            if fmt == "csv":
+                assert cold.read_bytes() == warm.read_bytes()
+            else:
+                pc, pw = json.loads(cold.read_text()), json.loads(warm.read_text())
+                assert _strip_elapsed(pc["cells"]) == _strip_elapsed(pw["cells"])
+                assert pc["all_match"] is pw["all_match"] is True
+
+    def test_module_entry_keeps_exit_2(self):
+        done = run_zex("verify", "--n-min", "9", "--n-max", "7")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: verification orders must satisfy")

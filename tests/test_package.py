@@ -1,6 +1,7 @@
 """The package's top-level names: each module lists its public names once,
-and ``zex`` re-exports all of them, importing each module on first use.  The
-command line loads the flow module only for ``zex connectivity``."""
+and ``zex`` re-exports all of them, importing only the owning module on first
+use.  The command line loads the flow module only for ``zex connectivity``,
+and the sweep module only for ``zex search`` and ``zex verify``."""
 
 import importlib
 import json
@@ -12,27 +13,33 @@ from conftest import run_python
 
 MODULES = ("graphs", "connectivity", "families", "transforms", "search")
 
-# a connectivity caller's names, then one search name; prints what each step added
+# each argument is a comma-separated list of names to look up on ``zex``, in turn;
+# prints the modules that each step added
 COLD_IMPORT = """
 import json, sys
-before = set(sys.modules)
 import zex
-for name in ("decode_graph6", "m1", "m2", "vertex_connectivity", "edge_connectivity",
-             "canonical_form"):
-    getattr(zex, name)
-connectivity = set(sys.modules) - before
-zex.search_max
-print(json.dumps([sorted(connectivity), sorted(set(sys.modules) - before - connectivity)]))
+steps = []
+for names in sys.argv[1:]:
+    before = set(sys.modules)
+    for name in names.split(","):
+        getattr(zex, name)
+    steps.append(sorted(set(sys.modules) - before))
+print(json.dumps(steps))
 """
 
-# ``import zex.cli``, then one ``zex connectivity`` run; prints what each step added last
+# ``import zex.cli``, one ``zex connectivity`` run, then one ``zex search`` run;
+# prints the modules that each step added last
 CLI_COLD_IMPORT = """
 import json, sys
-before = set(sys.modules)
+steps, before = [], set(sys.modules)
 import zex.cli
-cli = set(sys.modules) - before
-zex.cli.main(["connectivity", sys.argv[1]])
-print(json.dumps([sorted(cli), sorted(set(sys.modules) - before - cli)]))
+steps.append(set(sys.modules) - before)
+for argv in (["connectivity", sys.argv[1]],
+             ["search", "--n", "6", "--mode", "vertex", "--c", "1", "--index", "M1"]):
+    before = set(sys.modules)
+    zex.cli.main(argv)
+    steps.append(set(sys.modules) - before)
+print(json.dumps([sorted(step) for step in steps]))
 """
 
 # the top-level names before ``zex.__all__`` was built from the module lists, by module
@@ -78,14 +85,37 @@ def test_all_is_the_union_of_the_module_lists():
     assert set(namespace) - {"__builtins__"} == set(zex.__all__)
 
 
-def test_a_connectivity_caller_loads_no_other_layer():
-    done = run_python(COLD_IMPORT)
+def test_the_name_index_is_the_module_lists():
+    modules = [importlib.import_module(f"zex.{name}") for name in MODULES]
+    assert zex._OWNER == {name: short for short, module in zip(MODULES, modules)
+                          for name in module.__all__}
+
+
+def _cold_steps(*steps):
+    done = run_python(COLD_IMPORT, *(",".join(names) for names in steps))
     assert done.returncode == 0, done.stderr
-    connectivity, search = json.loads(done.stdout)
-    heavy = {"zex.search", "zex.families", "zex.transforms", "dataclasses"}
-    assert {"zex", "zex.graphs", "zex.connectivity"} <= set(connectivity)
-    assert not heavy & set(connectivity)
-    assert "zex.search" in search
+    return [set(step) for step in json.loads(done.stdout)]
+
+
+def _zex(modules):
+    return {m for m in modules if m.startswith("zex")}
+
+
+def test_a_connectivity_caller_loads_no_other_layer():
+    connectivity, search = _cold_steps(
+        ("decode_graph6", "m1", "m2", "vertex_connectivity", "edge_connectivity",
+         "canonical_form"),
+        ("search_max",),
+    )
+    assert _zex(connectivity) == {"zex.graphs", "zex.connectivity"}
+    assert "dataclasses" not in connectivity
+    assert _zex(search) == {"zex.families", "zex.search"}
+
+
+def test_each_name_loads_only_its_owner():
+    families, search = _cold_steps(("predicted_extremal",), ("search_max",))
+    assert _zex(families) == {"zex.graphs", "zex.families"}
+    assert _zex(search) == {"zex.search"}
 
 
 def test_names_resolve_on_first_use_and_stay_bound():
@@ -99,14 +129,17 @@ def test_names_resolve_on_first_use_and_stay_bound():
 
 
 def test_the_cli_loads_the_flow_module_for_zex_connectivity_only(tmp_path):
-    # a cold ``zex verify`` imports ``zex.cli``, so none of these may come with it
+    # a cold ``zex index``, ``construct`` or ``connectivity`` imports ``zex.cli``, so the
+    # sweep module must not come with it
     path = tmp_path / "p4.g6"
     path.write_bytes(zex.encode_graph6(zex.Graph(4, [(0, 1), (1, 2), (2, 3)])) + b"\n")
     done = run_python(CLI_COLD_IMPORT, str(path))
     assert done.returncode == 0, done.stderr
-    printed, loads = done.stdout.splitlines()
-    cli, connectivity = json.loads(loads)
-    assert {"zex", "zex.cli", "zex.graphs", "zex.families", "zex.search"} <= set(cli)
-    assert not {"dataclasses", "inspect", "zex.connectivity", "zex.transforms"} & set(cli)
-    assert printed == "1, cut={1}"
+    printed = done.stdout.splitlines()
+    cli, connectivity, search = map(set, json.loads(printed[-1]))
+    assert _zex(cli) == {"zex", "zex.cli", "zex.graphs", "zex.families"}
+    assert not {"dataclasses", "inspect"} & cli
+    assert printed[0] == "1, cut={1}"
     assert "zex.connectivity" in connectivity
+    assert "zex.search" not in connectivity
+    assert "zex.search" in search
