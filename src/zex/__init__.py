@@ -7,17 +7,20 @@ constructs the candidate extremal family of bipartite graphs, applies
 index-increasing rewrites, and verifies the predicted maximizers by
 exhaustive search at small order.
 
-The public names are those of the modules' ``__all__`` lists, and
-``_OWNER`` maps each of them to the module that lists it.  That module
-alone is imported on first use of the name (PEP 562), so a caller that
-only decodes graphs and computes connectivity loads ``graphs`` and
-``connectivity``, and ``zex.predicted_extremal`` loads ``graphs`` and
-``families``, and nothing else.
+The public names are listed once, in ``_NAMES`` by the module that
+defines them; each module reads its ``__all__`` from there, and ``_OWNER``
+maps each name to its module.  That module alone is imported on first use
+of the name (PEP 562), so a caller that only decodes graphs and computes
+connectivity loads ``graphs`` and ``connectivity``, and
+``zex.predicted_extremal`` loads ``graphs`` and ``families``, and nothing
+else.
 """
 
 from importlib import import_module
 
-# each module's ``__all__``, in order; tests/test_package.py checks the copy
+# the one list of public names, by owning module and in order; each module reads
+# its ``__all__`` from here, and tests/test_package.py checks it against what each
+# module defines
 _NAMES = {
     "graphs": (
         "Graph", "Bipartition", "GraphFormatError", "m1", "m2", "MODES", "INDICES",

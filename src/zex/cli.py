@@ -4,7 +4,8 @@ extremal search and maximizer verification.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 internal error (any other exception; a one-line message goes to stderr).
 The ``ZEX_THREADS`` environment variable caps the sweep worker count for
-``search`` and ``verify`` (0 = one worker per CPU; unset = serial).
+``search`` and ``verify`` (0 = one worker per CPU; unset = serial); the
+command line only reads and checks it, and ``search._sweep`` sizes the pool.
 Reports are reproducible byte for byte except for the ``elapsed`` timing
 fields.
 
@@ -54,6 +55,8 @@ _CSV_COLUMNS = ("n", "mode", "c", "index", "max", "predicted", "match", "num_max
 
 
 def _workers_from_env() -> int:
+    """``ZEX_THREADS`` as a worker count: 1 when unset, else a nonnegative
+    integer; ``search._sweep`` reads 0 as one worker per CPU."""
     raw = os.environ.get("ZEX_THREADS")
     if raw is None:
         return 1
@@ -63,7 +66,7 @@ def _workers_from_env() -> int:
         raise ValueError(f"ZEX_THREADS must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError("ZEX_THREADS must be nonnegative")
-    return value if value > 0 else (os.cpu_count() or 1)
+    return value
 
 
 def _write_graph(g: Graph, out: str | None, fmt: str) -> None:

@@ -19,16 +19,10 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
+from . import _NAMES
 from .graphs import Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
 
-__all__ = [
-    "CutWitness",
-    "vertex_connectivity",
-    "edge_connectivity",
-    "vertex_connectivity_value",
-    "edge_connectivity_value",
-    "is_k_connected",
-]
+__all__ = list(_NAMES["connectivity"])
 
 class CutWitness(NamedTuple):
     """An explicit minimum cut, or the reason none exists.

@@ -22,16 +22,10 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
+from . import _NAMES
 from .graphs import MODES, Graph
 
-__all__ = [
-    "FamilyParams",
-    "complete_bipartite",
-    "build_family",
-    "family_m1",
-    "family_m2",
-    "predicted_extremal",
-]
+__all__ = list(_NAMES["families"])
 
 # the least order with a predicted maximizer and both rewirings, so the least order verified
 MIN_FAMILY_ORDER = 6

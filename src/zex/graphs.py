@@ -30,26 +30,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-__all__ = [
-    "Graph",
-    "Bipartition",
-    "GraphFormatError",
-    "m1",
-    "m2",
-    "MODES",
-    "INDICES",
-    "index_value",
-    "min_degree",
-    "bipartition_of",
-    "is_connected",
-    "connected_components",
-    "encode_graph6",
-    "decode_graph6",
-    "canonical_form",
-    "parse_edge_list",
-    "format_edge_list",
-    "read_graph_file",
-]
+from . import _NAMES
+
+__all__ = list(_NAMES["graphs"])
 
 _GRAPH6_MAX_N = 62
 _GRAPH6_HEADER = b">>graph6<<"

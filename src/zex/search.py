@@ -22,7 +22,10 @@ and maxima are those of the labeled enumeration.  The sweep returns one
 record per class, and each ``search_max`` cell is a query over them.  A
 serial sweep passes one class table through all its tasks; worker
 processes fill a table per task, which ``_merge_cells`` unions in task
-order as each arrives, so reports do not depend on the worker count.
+order as each arrives, so reports do not depend on the worker count.  A
+task is one first row, ``(n, p, first)``; ``_sweep_chunk`` runs it the same
+way in both paths and names it in a ``SweepTaskError`` if it fails.
+``_sweep`` alone turns a worker count into a pool size.
 
 Scale caps: ``search_max`` and ``enumerate_class`` support ``n <= 10``
 (``MAX_SWEEP_ORDER``), checked where a caller comes in, so ``_sweep``
@@ -39,6 +42,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from . import _NAMES
 from .families import MIN_FAMILY_ORDER, predicted_extremal
 from .graphs import (
     INDICES,
@@ -49,6 +53,7 @@ from .graphs import (
     _mask_indices,
     _reach,
     _vertex_cuts,
+    bipartition_of,
     canonical_form,
     connected_components,
     encode_graph6,
@@ -57,18 +62,7 @@ from .graphs import (
     min_degree,
 )
 
-__all__ = [
-    "SearchSpec",
-    "SearchReport",
-    "enumerate_class",
-    "search_max",
-    "brute_force_vertex_connectivity",
-    "brute_force_edge_connectivity",
-    "minimum_vertex_cuts",
-    "has_straddling_min_cut",
-    "cut_component_profile",
-    "SweepTaskError",
-]
+__all__ = list(_NAMES["search"])
 
 MAX_SWEEP_ORDER = 10
 
@@ -313,10 +307,14 @@ def _class_key(masks: list[int], p: int) -> tuple[tuple[int, ...], int]:
     return tuple(best), aut
 
 
-def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None) -> dict:
+class SweepTaskError(RuntimeError):
+    """A sweep task ``(n, p, first)`` raised; the message names the task."""
+
+
+def _sweep_chunk(task: tuple[int, int, int], classes: Optional[dict] = None) -> dict:
     """Classify the doubly lexical matrices of part size ``p`` whose first
-    row lies in ``lo..hi-1`` into ``classes`` (a new table by default) and
-    return it: ``{(p, key): (weight, connectivity, values, masks)}``, one
+    row is ``first`` into ``classes`` (a new table by default) and return
+    it: ``{(p, key): (weight, connectivity, values, masks)}``, one
     record per class, keyed by ``_class_key``, with the connectivity values
     in ``MODES`` order, the index values in ``INDICES`` order and the
     neighbor masks of one member.  A class already in the table is not
@@ -333,8 +331,11 @@ def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None
     (``_join``), so a leaf's connectedness is one pass over them.  Each
     class is classified once and weighted by ``p! q! / |Aut|``, the number
     of labeled matrices in it.
+
+    Any exception in the walk is raised again as ``SweepTaskError``, whose
+    message names ``task``, in a serial sweep and in a pool worker alike.
     """
-    n, p, lo, hi = args
+    n, p, first = task
     q = n - p
     top = 1 << q
     labelings = factorial(p) * factorial(q)
@@ -362,7 +363,12 @@ def _sweep_chunk(args: tuple[int, int, int, int], classes: Optional[dict] = None
                 continue
             classes[(p, key)] = (labelings // aut, *_connectivity(masks), tuple(masks))
 
-    walk(0, [0] * n, (), range(lo, hi), (1 << (q - 1)) - 1)
+    try:
+        walk(0, [0] * n, (), range(first, first + 1), (1 << (q - 1)) - 1)
+    except Exception as exc:
+        raise SweepTaskError(
+            f"sweep task (n, p, first) = {task} failed: {type(exc).__name__}: {exc}"
+        ) from exc
     return classes
 
 
@@ -377,44 +383,34 @@ def _merge_cells(parts: Iterable[dict]) -> list[tuple]:
     return list(classes.values())
 
 
-def _sweep_tasks(n: int) -> list[tuple[int, int, int, int]]:
-    """One ``(n, p, lo, hi)`` task per first row the walk can place: columns
+def _sweep_tasks(n: int) -> list[tuple[int, int, int]]:
+    """One ``(n, p, first)`` task per first row the walk can place: columns
     are nonincreasing with row 0 as their high bit, so the first row is
     ``2**k - 1`` for some ``k``, and the rows between reach no leaf."""
-    return [(n, p, 2**k - 1, 2**k) for p in range(1, n // 2 + 1) for k in range(1, n - p + 1)]
-
-
-class SweepTaskError(RuntimeError):
-    """A sweep task ``(n, p, lo, hi)`` raised; the message names the task."""
-
-
-def _run_task(task: tuple[int, int, int, int], *classes: dict) -> dict:
-    try:
-        return _sweep_chunk(task, *classes)
-    except Exception as exc:
-        raise SweepTaskError(
-            f"sweep task (n, p, lo, hi) = {task} failed: {type(exc).__name__}: {exc}"
-        ) from exc
+    return [(n, p, 2**k - 1) for p in range(1, n // 2 + 1) for k in range(1, n - p + 1)]
 
 
 @lru_cache(maxsize=1)
 def _sweep(n: int, workers: int, /) -> list[tuple]:
     """The class records of the full order-``n`` sweep (see ``_sweep_chunk``):
     a serial sweep fills one table, and a pooled one hands each task table to
-    ``_merge_cells`` as it arrives.  Both arguments are positional, so the
-    cache keys a call one way; it keeps only the latest sweep, as callers
-    walk orders in turn.  Any order runs: ``search_max`` checks the cap."""
+    ``_merge_cells`` as it arrives.  This is the one place that sizes the
+    pool: ``workers`` 0 means one per CPU, and no more workers start than
+    there are CPUs or tasks.  Both arguments are positional, so the cache
+    keys a call one way; it keeps only the latest sweep, as callers walk
+    orders in turn.  Any order runs: ``search_max`` checks the cap."""
     tasks = _sweep_tasks(n)
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(workers or cpus, len(tasks), cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay for it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _merge_cells(pool.map(_run_task, tasks))
+            return _merge_cells(pool.map(_sweep_chunk, tasks))
     # one table, so a class that a later task meets again is skipped
     classes: dict = {}
     for task in tasks:
-        _run_task(task, classes)
+        _sweep_chunk(task, classes)
     return list(classes.values())
 
 
@@ -442,7 +438,9 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     ``enumerate_class`` yields them.  Maximizers are reported as the
     sorted graph6 strings of their canonical forms, one per isomorphism
     class; ``matches`` is true when the predicted graph is one of them.
-    Orders above ``MAX_SWEEP_ORDER`` raise ``ValueError`` before any sweep.
+    ``workers`` caps the sweep's worker processes, and 0 means one per CPU,
+    as ``ZEX_THREADS=0`` does.  Orders above ``MAX_SWEEP_ORDER`` raise
+    ``ValueError`` before any sweep.
     """
     _check_sweep_order(spec.n)
     start = time.perf_counter()
@@ -506,12 +504,17 @@ def minimum_vertex_cuts(g: Graph) -> list[frozenset[int]]:
 def has_straddling_min_cut(g: Graph, b: Bipartition) -> bool:
     """True iff some minimum vertex cut meets both classes of ``b``.
 
-    Requires ``g`` connected; ``b`` must be a valid bipartition of ``g``.
-    Nothing in the package calls it: it states acceptance criterion 7, that
-    no maximizer has a minimum cut meeting both color classes.
+    Requires ``g`` connected, and ``b`` a bipartition of ``g``: disjoint
+    classes that cover its vertices, with every edge crossing them; else
+    ``ValueError``.  Nothing in the package calls it: it states acceptance
+    criterion 7, that no maximizer has a minimum cut meeting both color
+    classes.
     """
     if not is_connected(g):
         raise ValueError("straddling-cut check requires a connected graph")
+    # a connected bipartite graph has one bipartition, up to the order of its classes
+    if bipartition_of(g) not in (b, b[::-1]):
+        raise ValueError(f"{b} is not a bipartition of the graph")
     return any(s & b.X and s & b.Y for s in minimum_vertex_cuts(g))
 
 

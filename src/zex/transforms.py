@@ -25,16 +25,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import _NAMES
 from .families import MIN_FAMILY_ORDER, FamilyParams, _blowup
 from .graphs import Graph
 
-__all__ = [
-    "ShiftSpec",
-    "add_edge",
-    "shift_neighbors",
-    "case1_rewire",
-    "case2_rewire",
-]
+__all__ = list(_NAMES["transforms"])
 
 
 class ShiftSpec(NamedTuple):

@@ -1,9 +1,12 @@
-"""The package's top-level names: each module lists its public names once,
-and ``zex`` re-exports all of them, importing only the owning module on first
-use.  The command line loads the flow module only for ``zex connectivity``,
-and the sweep module only for ``zex search`` and ``zex verify``."""
+"""The package's top-level names: ``zex._NAMES`` lists every public name
+once, by the module that defines it, each module reads its ``__all__`` from
+there, and ``zex`` re-exports all of them, importing only the owning module
+on first use.  The command line loads the flow module only for ``zex
+connectivity``, and the sweep module only for ``zex search`` and ``zex
+verify``."""
 
 import importlib
+import inspect
 import json
 
 import pytest
@@ -12,6 +15,8 @@ import zex
 from conftest import run_python
 
 MODULES = ("graphs", "connectivity", "families", "transforms", "search")
+# the public constants in the name index; every other public name is a function or class
+CONSTANTS = {"graphs": {"MODES", "INDICES"}}
 
 # each argument is a comma-separated list of names to look up on ``zex``, in turn;
 # prints the modules that each step added
@@ -85,10 +90,18 @@ def test_all_is_the_union_of_the_module_lists():
     assert set(namespace) - {"__builtins__"} == set(zex.__all__)
 
 
-def test_the_name_index_is_the_module_lists():
-    modules = [importlib.import_module(f"zex.{name}") for name in MODULES]
-    assert zex._OWNER == {name: short for short, module in zip(MODULES, modules)
-                          for name in module.__all__}
+def test_the_name_index_lists_what_each_module_defines():
+    # every public function and class a module defines, and its listed constants
+    assert tuple(zex._NAMES) == MODULES
+    for short in MODULES:
+        module = importlib.import_module(f"zex.{short}")
+        defined = {
+            name for name, value in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+        assert set(zex._NAMES[short]) == defined | CONSTANTS.get(short, set()), short
+        assert module.__all__ == list(zex._NAMES[short]), short
 
 
 def _cold_steps(*steps):

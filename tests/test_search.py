@@ -12,6 +12,7 @@ import pytest
 
 from conftest import DEFAULT_SEED, random_graph, row_and_column_class, run_python
 from zex import (
+    Bipartition,
     FamilyParams,
     Graph,
     SearchReport,
@@ -451,7 +452,7 @@ class TestSweepWalk:
         # every cell queried from the sweep's class records against the flat walk over every task
         import zex.search as search_module
 
-        assert any(p == 1 for _, p, _, _ in search_module._sweep_tasks(n))  # no row below the first
+        assert any(p == 1 for _, p, _ in search_module._sweep_tasks(n))  # no row below the first
         flat = _flat_sweep(n)
         for mode in ("vertex", "edge"):
             for c in range(1, n // 2 + 2):
@@ -557,17 +558,15 @@ class TestSweepWalk:
         tasks = search_module._sweep_tasks(n)
         for p in range(1, n // 2 + 1):
             top = 1 << (n - p)
-            covered = [first for tn, tp, lo, hi in tasks if (tn, tp) == (n, p) for first in range(lo, hi)]
+            covered = [first for tn, tp, first in tasks if (tn, tp) == (n, p)]
             assert len(covered) == len(set(covered)), p
             assert [first for first in covered if first & (first + 1) == 0] == [
                 2**k - 1 for k in range(1, n - p + 1)
             ], p
             if n < 10:
-                skipped = sorted(set(range(1, top)) - set(covered))
-                for _, run in itertools.groupby(enumerate(skipped), lambda pair: pair[1] - pair[0]):
-                    firsts = [first for _, first in run]
-                    assert search_module._sweep_chunk((n, p, firsts[0], firsts[-1] + 1)) == {}, (p, firsts)
-        assert {tp for _, tp, _, _ in tasks} == set(range(1, n // 2 + 1))
+                for first in sorted(set(range(1, top)) - set(covered)):
+                    assert search_module._sweep_chunk((n, p, first)) == {}, (p, first)
+        assert {tp for _, tp, _ in tasks} == set(range(1, n // 2 + 1))
 
 
 def _matrices_without_zero_lines(max_order):
@@ -755,12 +754,14 @@ class TestSweepTaskError:
 
     @staticmethod
     def _break_chunks(monkeypatch):
+        # a kernel the walk calls at each leaf, so the failure passes through
+        # _sweep_chunk's own wrap; order 6's first task to reach a leaf is (6, 1, 31)
         import zex.search as search_module
 
-        def broken(task, *classes):
+        def broken(masks, p):
             raise ZeroDivisionError("bad row")
 
-        monkeypatch.setattr(search_module, "_sweep_chunk", broken)
+        monkeypatch.setattr(search_module, "_class_key", broken)
         search_module._sweep.cache_clear()
         return search_module
 
@@ -773,12 +774,12 @@ class TestSweepTaskError:
             raise AssertionError("no pool expected")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        first = search_module._sweep_tasks(6)[0]
         with pytest.raises(search_module.SweepTaskError) as exc:
             search_module._sweep(6, 1)
         assert str(exc.value) == (
-            f"sweep task (n, p, lo, hi) = {first} failed: ZeroDivisionError: bad row"
+            "sweep task (n, p, first) = (6, 1, 31) failed: ZeroDivisionError: bad row"
         )
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
 
     def test_pooled_path_wraps_the_same_way(self, monkeypatch):
         import concurrent.futures
@@ -800,7 +801,7 @@ class TestSweepTaskError:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
-        with pytest.raises(search_module.SweepTaskError, match=r"\(6, 1, 1, 2\)"):
+        with pytest.raises(search_module.SweepTaskError, match=r"\(6, 1, 31\)"):
             search_module._sweep(6, 2)
 
     def test_error_survives_pickling(self):
@@ -808,7 +809,7 @@ class TestSweepTaskError:
 
         from zex.search import SweepTaskError
 
-        err = SweepTaskError("sweep task (n, p, lo, hi) = (6, 1, 1, 32) failed: X: y")
+        err = SweepTaskError("sweep task (n, p, first) = (6, 1, 31) failed: X: y")
         assert str(pickle.loads(pickle.dumps(err))) == str(err)
 
     def test_cli_exit_code_is_3(self, monkeypatch, capsys):
@@ -818,7 +819,7 @@ class TestSweepTaskError:
         assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(
-            "internal error: SweepTaskError: sweep task (n, p, lo, hi) = (6, 1, 1, 2) failed"
+            "internal error: SweepTaskError: sweep task (n, p, first) = (6, 1, 31) failed"
         )
 
 
@@ -867,6 +868,18 @@ class TestStraddlingCut:
     def test_k23(self):
         g = complete_bipartite(2, 3)
         assert has_straddling_min_cut(g, bipartition_of(g)) is False
+        assert has_straddling_min_cut(g, Bipartition(frozenset({0, 1}), frozenset({2, 3, 4}))) is False
+        assert has_straddling_min_cut(g, Bipartition(frozenset({2, 3, 4}), frozenset({0, 1}))) is False
+
+    @pytest.mark.parametrize("x, y", [
+        ({0, 2}, {1, 3, 4}),  # edge 0-2 lies inside X
+        ({0, 1}, {2, 3}),  # vertex 4 is in neither class
+        ({0, 1, 2}, {2, 3, 4}),  # vertex 2 is in both
+    ])
+    def test_rejects_a_wrong_bipartition(self, x, y):
+        g = complete_bipartite(2, 3)
+        with pytest.raises(ValueError, match="not a bipartition"):
+            has_straddling_min_cut(g, Bipartition(frozenset(x), frozenset(y)))
 
     def test_requires_connected(self):
         g = Graph(4, [(0, 1), (2, 3)])

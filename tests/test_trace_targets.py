@@ -83,18 +83,17 @@ def test_traced_sweep_counts_every_kernel(tmp_path):
     leaves = connected = 0
     seen = set()
     tasks = _sweep_tasks(7)
-    for n, p, lo, hi in tasks:
+    for n, p, first in tasks:
         q = n - p
-        for first in range(lo, hi):
-            for rest in combinations_with_replacement(range(first, 1 << q), p - 1):
-                rows = (first, *rest)
-                cols = [sum((row >> j & 1) << (p - 1 - i) for i, row in enumerate(rows)) for j in range(q)]
-                if cols != sorted(cols, reverse=True) or cols[-1] == 0:
-                    continue
-                leaves += 1
-                if _connected(rows, p, q):
-                    connected += 1
-                    seen.add((p, row_and_column_class(rows, q)))
+        for rest in combinations_with_replacement(range(first, 1 << q), p - 1):
+            rows = (first, *rest)
+            cols = [sum((row >> j & 1) << (p - 1 - i) for i, row in enumerate(rows)) for j in range(q)]
+            if cols != sorted(cols, reverse=True) or cols[-1] == 0:
+                continue
+            leaves += 1
+            if _connected(rows, p, q):
+                connected += 1
+                seen.add((p, row_and_column_class(rows, q)))
     assert (leaves, connected, len(seen)) == (90, 65, 44)
     assert calls("search._sweep_chunk") == len(tasks)
     assert calls("search._bipartite_masks") == leaves
