@@ -90,6 +90,12 @@ def test_all_is_the_union_of_the_module_lists():
     assert set(namespace) - {"__builtins__"} == set(zex.__all__)
 
 
+def test_the_name_index_is_the_module_lists():
+    modules = [importlib.import_module(f"zex.{name}") for name in MODULES]
+    assert zex._OWNER == {name: short for short, module in zip(MODULES, modules)
+                          for name in module.__all__}
+
+
 def test_the_name_index_lists_what_each_module_defines():
     # every public function and class a module defines, and its listed constants
     assert tuple(zex._NAMES) == MODULES
