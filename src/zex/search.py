@@ -20,10 +20,11 @@ column permutations is visited.  Each class is classified once and
 weighted by ``p! q! / |Aut|``, its number of labeled patterns, so counts
 and maxima are those of the labeled enumeration.  The sweep returns one
 record per class, and each ``search_max`` cell is a query over them.  A
-serial sweep passes one class table through all its tasks; worker
-processes fill a table per task, which ``_merge_cells`` unions in task
-order as each arrives, so reports do not depend on the worker count.  A
-task is one first row, ``(n, p, first)``; ``_sweep_chunk`` runs it the same
+task is one first row, ``(n, p, first)``, and keeps only the classes whose
+least row degree is that row's, so no class is in two tasks.  Each task
+fills its own table, in the sweep's process or in a worker, and
+``_merge_cells`` joins the tables in task order as they arrive, so reports
+do not depend on the worker count.  ``_sweep_chunk`` runs a task the same
 way in both paths and names it in a ``SweepTaskError`` if it fails.
 ``_sweep`` alone turns a worker count into a pool size.
 
@@ -311,26 +312,42 @@ class SweepTaskError(RuntimeError):
     """A sweep task ``(n, p, first)`` raised; the message names the task."""
 
 
-def _sweep_chunk(task: tuple[int, int, int], classes: Optional[dict] = None) -> dict:
+def _sweep_chunk(task: tuple[int, int, int]) -> dict:
     """Classify the doubly lexical matrices of part size ``p`` whose first
-    row is ``first`` into ``classes`` (a new table by default) and return
-    it: ``{(p, key): (weight, connectivity, values, masks)}``, one
-    record per class, keyed by ``_class_key``, with the connectivity values
-    in ``MODES`` order, the index values in ``INDICES`` order and the
-    neighbor masks of one member.  A class already in the table is not
-    classified again.
+    row is ``first`` and whose rows all have at least ``first``'s degree,
+    and return their table: ``{(p, key): (weight, connectivity, values,
+    masks)}``, one record per class, keyed by ``_class_key``, with the
+    connectivity values in ``MODES`` order, the index values in ``INDICES``
+    order and the neighbor masks of one member.
 
     Row ``i`` is the ``q``-bit int of its columns; column ``j`` is read
     with row 0 as its most significant bit.  A depth-first walk places
     nondecreasing rows and keeps columns nonincreasing: bit ``j`` of
     ``tied`` is set while columns ``j`` and ``j + 1`` agree on the placed
     rows, and a row that sets bit ``j + 1`` but not bit ``j`` of a tied
-    pair is pruned.  Column ``q - 1`` is then the least column, and it is
-    empty exactly when the last row is below ``2**(q-1)``.  The walk also
-    carries the column sets of the components spanned by the placed rows
-    (``_join``), so a leaf's connectedness is one pass over them.  Each
-    class is classified once and weighted by ``p! q! / |Aut|``, the number
-    of labeled matrices in it.
+    pair is pruned with every row the walk would place after it.  So is a
+    row of fewer than ``k`` bits, where ``first = 2**k - 1``.  Column
+    ``q - 1`` is then the least column, and it is empty exactly when the
+    last row is below ``2**(q-1)``.  The walk also carries the column sets
+    of the components spanned by the placed rows (``_join``), so a leaf's
+    connectedness is one pass over them.  Each class is classified once
+    and weighted by ``p! q! / |Aut|``, the number of labeled matrices in
+    it.
+
+    The tasks of one ``(n, p)`` still meet every class, and each class in
+    one task only:
+
+    - Take a connected matrix of the class and put a row of least degree
+      ``d`` first.  A stable column sort, with row 0 as the high bit,
+      moves its ones to the lowest bits, so row 0 reads ``2**d - 1``, the
+      least int with ``d`` set bits.
+    - So a stable row sort never moves row 0 ahead of another row, and
+      the next column sort keeps it at ``2**d - 1``.  Both sorts lower the
+      row tuple in lexicographic order, so alternating them reaches a
+      doubly lexical fixed point.
+    - That fixed point is a leaf of task ``k = d``, and no row in it has
+      fewer than ``d`` bits.
+    - Each class has one least degree, so the tasks are disjoint.
 
     Any exception in the walk is raised again as ``SweepTaskError``, whose
     message names ``task``, in a serial sweep and in a pool worker alike.
@@ -338,15 +355,15 @@ def _sweep_chunk(task: tuple[int, int, int], classes: Optional[dict] = None) -> 
     n, p, first = task
     q = n - p
     top = 1 << q
+    least = first.bit_count()
     labelings = factorial(p) * factorial(q)
-    if classes is None:
-        classes = {}
+    classes: dict = {}
 
     def walk(i: int, carried: list[int], parts: tuple[int, ...], rows: range, tied: int) -> None:
         # rows 0..i-1 are placed in ``carried``, and their components span ``parts``
         for row in rows:
-            if row >> 1 & ~row & tied:
-                continue  # column j + 1 would pass column j
+            if row >> 1 & ~row & tied or row.bit_count() < least:
+                continue  # column j + 1 would pass column j, or the row has fewer bits than row 0
             if i < p - 1:
                 walk(
                     i + 1, _place_row(carried, p, i, row), _join(parts, row), range(row, top),
@@ -373,14 +390,10 @@ def _sweep_chunk(task: tuple[int, int, int], classes: Optional[dict] = None) -> 
 
 
 def _merge_cells(parts: Iterable[dict]) -> list[tuple]:
-    """The records of the union of the task tables, merged in task order as
-    ``parts`` yields them, so a class found by two tasks counts once and no
-    table is kept once it is merged."""
-    classes: dict[tuple[int, tuple[int, ...]], tuple] = {}
-    for part in parts:
-        for key, record in part.items():
-            classes.setdefault(key, record)
-    return list(classes.values())
+    """The records of the task tables, in task order as ``parts`` yields
+    them.  No class is in two tables (see ``_sweep_chunk``), so the records
+    are joined as they are, and no table is kept once it is read."""
+    return [record for part in parts for record in part.values()]
 
 
 def _sweep_tasks(n: int) -> list[tuple[int, int, int]]:
@@ -393,12 +406,15 @@ def _sweep_tasks(n: int) -> list[tuple[int, int, int]]:
 @lru_cache(maxsize=1)
 def _sweep(n: int, workers: int, /) -> list[tuple]:
     """The class records of the full order-``n`` sweep (see ``_sweep_chunk``):
-    a serial sweep fills one table, and a pooled one hands each task table to
-    ``_merge_cells`` as it arrives.  This is the one place that sizes the
-    pool: ``workers`` 0 means one per CPU, and no more workers start than
-    there are CPUs or tasks.  Both arguments are positional, so the cache
-    keys a call one way; it keeps only the latest sweep, as callers walk
-    orders in turn.  Any order runs: ``search_max`` checks the cap."""
+    the task tables joined by ``_merge_cells``, from the tasks run one by
+    one or in a pool.  This is the one place that sizes the pool:
+    ``workers`` 0 means one per CPU, a negative count is a ``ValueError``,
+    and no more workers start than there are CPUs or tasks.  Both arguments
+    are positional, so the cache keys a call one way; it keeps only the
+    latest sweep, as callers walk orders in turn.  Any order runs:
+    ``search_max`` checks the cap."""
+    if workers < 0:
+        raise ValueError(f"workers must be nonnegative, got {workers}")
     tasks = _sweep_tasks(n)
     cpus = os.cpu_count() or 1
     workers = min(workers or cpus, len(tasks), cpus)
@@ -407,11 +423,7 @@ def _sweep(n: int, workers: int, /) -> list[tuple]:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _merge_cells(pool.map(_sweep_chunk, tasks))
-    # one table, so a class that a later task meets again is skipped
-    classes: dict = {}
-    for task in tasks:
-        _sweep_chunk(task, classes)
-    return list(classes.values())
+    return _merge_cells(map(_sweep_chunk, tasks))
 
 
 @cache
@@ -439,8 +451,8 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     sorted graph6 strings of their canonical forms, one per isomorphism
     class; ``matches`` is true when the predicted graph is one of them.
     ``workers`` caps the sweep's worker processes, and 0 means one per CPU,
-    as ``ZEX_THREADS=0`` does.  Orders above ``MAX_SWEEP_ORDER`` raise
-    ``ValueError`` before any sweep.
+    as ``ZEX_THREADS=0`` does; a negative count raises ``ValueError``.
+    Orders above ``MAX_SWEEP_ORDER`` raise ``ValueError`` before any sweep.
     """
     _check_sweep_order(spec.n)
     start = time.perf_counter()

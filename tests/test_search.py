@@ -5,7 +5,8 @@ import pickle
 import random
 from collections import Counter
 from functools import cache, reduce
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, gcd
 from operator import or_
 
 import pytest
@@ -304,6 +305,15 @@ class TestWeightedSweep:
                 graph = predicted_extremal(11, c, mode)
                 assert maxima[mode, c] == (m1(graph), m2(graph)), (mode, c)
 
+    @pytest.mark.slow
+    def test_order11_pooled_equals_serial(self):
+        # the pooled path past order 10: the same records, in any order
+        import zex.search as search_module
+
+        pooled = Counter(search_module._sweep(11, 2))
+        assert pooled == Counter(search_module._sweep(11, 1))
+        assert sum(pooled.values()) == 25598
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_maximizers_are_the_argmax_classes(self, n):
         for mode in ("vertex", "edge"):
@@ -373,6 +383,117 @@ def _connected_spanning(p, q):
                 rest = 2 ** ((p - i) * (q - j))
                 count -= comb(p - 1, i - 1) * comb(q, j) * _connected_spanning(i, j) * rest
     return count
+
+
+def _partitions(n, largest=None):
+    """The partitions of ``n`` into parts of at most ``largest``, as tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def _centralizer(cycle_type):
+    """z_lambda: the permutations with cycle type lambda number n! / z_lambda."""
+    z = 1
+    for length, run in itertools.groupby(cycle_type):
+        m = len(list(run))
+        z *= length**m * factorial(m)
+    return z
+
+
+@cache
+def _bicoloured_classes(order):
+    """``{(p, q): c(p, q)}`` for p + q <= ``order``: the connected bicoloured graphs
+    with p vertices of the first colour and q of the second, up to isomorphism, with
+    no sweep (Harary, Pacific J. Math. 1958; Harary and Palmer, Graphical Enumeration,
+    1973). Burnside counts every p x q 0/1 matrix up to row and column permutations;
+    a bicoloured graph is a multiset of connected ones, so the log of that series,
+    then Moebius inversion, leaves the connected ones."""
+    cells = [(p, q) for p in range(order + 1) for q in range(order + 1 - p)]
+    types = {k: [(cycle, _centralizer(cycle)) for cycle in _partitions(k)] for k in range(order + 1)}
+    every = {
+        (p, q): sum(
+            Fraction(2 ** sum(gcd(a, b) for a in rows for b in cols), zr * zc)
+            for rows, zr in types[p]
+            for cols, zc in types[q]
+        )
+        for p, q in cells
+    }
+    # (p + q) L(p, q) = (p + q) B(p, q) - sum of (i + j) L(i, j) B(p - i, q - j) over the
+    # other (i, j) <= (p, q), for L = log B: apply x d/dx + y d/dy to B = exp L
+    log = {(0, 0): Fraction(0)}
+    for p, q in sorted(cells, key=sum)[1:]:
+        rest = sum(
+            (i + j) * log[i, j] * every[p - i, q - j]
+            for i in range(p + 1)
+            for j in range(q + 1)
+            if 0 < i + j < p + q
+        )
+        log[p, q] = every[p, q] - Fraction(rest, p + q)
+    # L(p, q) = sum over k | gcd(p, q) of c(p / k, q / k) / k
+    counts = {}
+    for p, q in cells[1:]:
+        g = gcd(p, q)
+        count = sum(_moebius(k) * log[p // k, q // k] / k for k in range(1, g + 1) if g % k == 0)
+        assert count.denominator == 1, (p, q)
+        counts[p, q] = int(count)
+    return counts
+
+
+def _moebius(k):
+    """The Moebius function: 0 when a square divides ``k``, else -1 to the number of primes."""
+    sign = 1
+    for d in range(2, k + 1):
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+def _task_class_counts(n):
+    """Classes per part size, summed over the task tables of the order-``n`` sweep,
+    so a class in two tasks counts twice."""
+    import zex.search as search_module
+
+    return Counter(p for task in search_module._sweep_tasks(n) for p, _ in search_module._sweep_chunk(task))
+
+
+class TestBurnsideClassCount:
+    """The classes in the sweep's task tables against a count with no sweep."""
+
+    def test_counts_at_orders_10_and_11(self):
+        counts = _bicoloured_classes(11)
+        assert [counts[p, 10 - p] for p in range(1, 6)] == [1, 20, 290, 1824, 3529]
+        assert [counts[p, 11 - p] for p in range(1, 6)] == [1, 25, 510, 5375, 19687]
+
+    @pytest.mark.parametrize("n", [*range(2, 11), pytest.param(11, marks=pytest.mark.slow)])
+    def test_task_tables_hold_each_class_once(self, n):
+        counts = _bicoloured_classes(n)
+        assert _task_class_counts(n) == {p: counts[p, n - p] for p in range(1, n // 2 + 1)}
+
+    def test_a_dropped_class_fails_the_count(self, monkeypatch):
+        # a mutant sweep that loses one class of task (7, 2, 3) must not pass
+        import zex.search as search_module
+
+        chunk = search_module._sweep_chunk
+
+        def dropping(task):
+            table = chunk(task)
+            if task == (7, 2, 3):
+                assert table
+                del table[next(iter(table))]
+            return table
+
+        monkeypatch.setattr(search_module, "_sweep_chunk", dropping)
+        counts = _bicoloured_classes(7)
+        found = _task_class_counts(7)
+        assert found != {p: counts[p, 7 - p] for p in range(1, 4)}
+        assert found[2] == counts[2, 5] - 1
 
 
 def _flat_orbit_size(rows):
@@ -643,6 +764,22 @@ class TestPoolSize:
         search_module._sweep.cache_clear()
         search_module._sweep(6, 1)
 
+    def test_negative_workers_are_rejected(self, monkeypatch, capsys):
+        # _sweep rejects the count before any task runs, as the CLI rejects ZEX_THREADS=-3
+        import zex.search as search_module
+        from zex.cli import main
+
+        def refuse(n):
+            raise AssertionError("no sweep expected")
+
+        monkeypatch.setattr(search_module, "_sweep_tasks", refuse)
+        search_module._sweep.cache_clear()
+        with pytest.raises(ValueError, match="nonnegative"):
+            search_max(SearchSpec(6, "vertex", 1, "M1"), workers=-3)
+        monkeypatch.setenv("ZEX_THREADS", "-3")
+        assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 2
+        assert "ZEX_THREADS must be nonnegative" in capsys.readouterr().err
+
     def test_importing_the_cli_loads_no_pool(self):
         done = run_python(
             "import sys, zex.cli; "
@@ -674,7 +811,7 @@ class TestSweepCache:
 
 class TestSweepWorkIsDoneOnce:
     def test_serial_sweep_classifies_each_class_once(self, monkeypatch):
-        # one class table across the tasks; a table per task classified 1,429 times at orders 6-9
+        # a table per task, and no class in two tasks: their sizes sum to the class count
         import zex.search as search_module
 
         classify = search_module._connectivity
@@ -693,6 +830,7 @@ class TestSweepWorkIsDoneOnce:
         for n in range(6, 10):
             per_task = [search_module._sweep_chunk(task) for task in search_module._sweep_tasks(n)]
             assert len(set().union(*per_task)) == calls[n], n
+            assert sum(map(len, per_task)) == calls[n], n
 
     def test_verify_canonicalizes_each_graph_once(self, monkeypatch, capsys):
         # the ties and predicted graphs of orders 6-9 are 26 distinct graphs; uncached, 112 calls
@@ -744,9 +882,9 @@ class TestSweepWorkIsDoneOnce:
             for task in search_module._sweep_tasks(n):
                 search_module._sweep_chunk(task)
         assert sum(checked.values()) == len(leaves)
-        # the traced orders 6-9 sweep scans 3,314 leaves and rejects 620 as disconnected
-        assert sum(checked[n, found] for n in range(6, 10) for found in (True, False)) == 3314
-        assert sum(checked[n, False] for n in range(6, 10)) == 620
+        # the traced orders 6-9 sweep scans 2,169 leaves and rejects 366 as disconnected
+        assert sum(checked[n, found] for n in range(6, 10) for found in (True, False)) == 2169
+        assert sum(checked[n, False] for n in range(6, 10)) == 366
 
 
 class TestSweepTaskError:

@@ -76,10 +76,10 @@ def test_traced_sweep_counts_every_kernel(tmp_path):
         return stats[name][0]
 
     # order 7 is the first whose sweep needs the edge kernel (kappa < delta). The walk
-    # visits the row-sorted tuples (nondecreasing nonzero rows of q = 7 - p bits) whose
-    # columns, read with row 0 as the high bit, are nonincreasing and nonzero. The serial
-    # sweep passes one class table through its tasks, so it classifies one tuple per
-    # connected class of each part size
+    # visits the row-sorted tuples (nondecreasing nonzero rows of q = 7 - p bits, none
+    # with fewer bits than the first) whose columns, read with row 0 as the high bit, are
+    # nonincreasing and nonzero. No class is in two tasks, so the sweep classifies one
+    # tuple per connected class of each part size
     leaves = connected = 0
     seen = set()
     tasks = _sweep_tasks(7)
@@ -87,6 +87,8 @@ def test_traced_sweep_counts_every_kernel(tmp_path):
         q = n - p
         for rest in combinations_with_replacement(range(first, 1 << q), p - 1):
             rows = (first, *rest)
+            if min(row.bit_count() for row in rows) < first.bit_count():
+                continue
             cols = [sum((row >> j & 1) << (p - 1 - i) for i, row in enumerate(rows)) for j in range(q)]
             if cols != sorted(cols, reverse=True) or cols[-1] == 0:
                 continue
@@ -94,7 +96,7 @@ def test_traced_sweep_counts_every_kernel(tmp_path):
             if _connected(rows, p, q):
                 connected += 1
                 seen.add((p, row_and_column_class(rows, q)))
-    assert (leaves, connected, len(seen)) == (90, 65, 44)
+    assert (leaves, connected, len(seen)) == (66, 51, 44)
     assert calls("search._sweep_chunk") == len(tasks)
     assert calls("search._bipartite_masks") == leaves
     assert results["search._bipartite_masks"].get("isolated", 0) == 0
