@@ -18,15 +18,21 @@ The sweep behind ``search_max`` walks only doubly lexical matrices: every
 nondecreasing (Lubiw, SIAM J. Comput. 1987), so every class under row and
 column permutations is visited.  Each class is classified once and
 weighted by ``p! q! / |Aut|``, its number of labeled patterns, so counts
-and maxima are those of the labeled enumeration.  The sweep returns one
-record per class, and each ``search_max`` cell is a query over them.  A
-task is one first row, ``(n, p, first)``, and keeps only the classes whose
-least row degree is that row's, so no class is in two tasks.  Each task
-fills its own table, in the sweep's process or in a worker, and
-``_merge_cells`` joins the tables in task order as they arrive, so reports
-do not depend on the worker count.  ``_sweep_chunk`` runs a task the same
-way in both paths and names it in a ``SweepTaskError`` if it fails.
-``_sweep`` alone turns a worker count into a pool size.
+and maxima are those of the labeled enumeration.  The sweep returns the
+report cells, one ``[count, best, ties]`` per ``(mode, c, index)``: the
+labeled members, the largest index value and the neighbor masks of one
+member of each class that reaches it.  ``_fold`` is the one rule that
+joins them: counts add, the greater maximum wins, and equal maxima join
+their ties.  A task is one first row, ``(n, p, first)``, and keeps only
+the classes whose least row degree is that row's, so no class is in two
+tasks.  Each task folds its classes into its own cells as it meets them,
+in the sweep's process or in a worker, keeping only the keys of the
+classes it has seen; ``_merge_cells`` folds the task cells in task order
+as they arrive, so reports do not depend on the worker count.
+``search_max`` reads one cell, or folds the cells ``c' >= c`` for
+``at_least``.  ``_sweep_chunk`` runs a task the same way in both paths
+and names it in a ``SweepTaskError`` if it fails.  ``_sweep`` alone turns
+a worker count into a pool size.
 
 Scale caps: ``search_max`` and ``enumerate_class`` support ``n <= 10``
 (``MAX_SWEEP_ORDER``), checked where a caller comes in, so ``_sweep``
@@ -312,13 +318,28 @@ class SweepTaskError(RuntimeError):
     """A sweep task ``(n, p, first)`` raised; the message names the task."""
 
 
+def _fold(cell: Optional[list], count: int, best: int, ties: Iterable[tuple[int, ...]]) -> list:
+    """``cell`` (a ``[count, best, ties]``, or None for an empty cell) with
+    ``count`` members of maximum ``best`` and tied masks ``ties`` folded in:
+    counts add, the greater maximum wins, and equal maxima join their ties.
+    A new cell copies ``ties``, so a fold never changes the cell it reads."""
+    if cell is None:
+        return [count, best, list(ties)]
+    cell[0] += count
+    if best > cell[1]:
+        cell[1:] = best, list(ties)
+    elif best == cell[1]:
+        cell[2].extend(ties)
+    return cell
+
+
 def _sweep_chunk(task: tuple[int, int, int]) -> dict:
     """Classify the doubly lexical matrices of part size ``p`` whose first
     row is ``first`` and whose rows all have at least ``first``'s degree,
-    and return their table: ``{(p, key): (weight, connectivity, values,
-    masks)}``, one record per class, keyed by ``_class_key``, with the
-    connectivity values in ``MODES`` order, the index values in ``INDICES``
-    order and the neighbor masks of one member.
+    and return their cells: ``{(mode, c, index): [count, best, ties]}``
+    (see ``_fold``).  Each class, keyed by ``_class_key``, is folded into
+    its four cells, one per mode and index, when the walk first meets it;
+    the task keeps only the set of keys it has seen.
 
     Row ``i`` is the ``q``-bit int of its columns; column ``j`` is read
     with row 0 as its most significant bit.  A depth-first walk places
@@ -357,7 +378,8 @@ def _sweep_chunk(task: tuple[int, int, int]) -> dict:
     top = 1 << q
     least = first.bit_count()
     labelings = factorial(p) * factorial(q)
-    classes: dict = {}
+    seen: set = set()
+    cells: dict = {}
 
     def walk(i: int, carried: list[int], parts: tuple[int, ...], rows: range, tied: int) -> None:
         # rows 0..i-1 are placed in ``carried``, and their components span ``parts``
@@ -376,9 +398,16 @@ def _sweep_chunk(task: tuple[int, int, int]) -> dict:
             if not _connected_masks(parts, row, top - 1):
                 continue
             key, aut = _class_key(masks, p)
-            if (p, key) in classes:
+            if key in seen:
                 continue
-            classes[(p, key)] = (labelings // aut, *_connectivity(masks), tuple(masks))
+            seen.add(key)
+            weight = labelings // aut
+            connectivity, values = _connectivity(masks)
+            tie = (tuple(masks),)
+            for mode, c in zip(MODES, connectivity):
+                for index, value in zip(INDICES, values):
+                    at = (mode, c, index)
+                    cells[at] = _fold(cells.get(at), weight, value, tie)
 
     try:
         walk(0, [0] * n, (), range(first, first + 1), (1 << (q - 1)) - 1)
@@ -386,14 +415,19 @@ def _sweep_chunk(task: tuple[int, int, int]) -> dict:
         raise SweepTaskError(
             f"sweep task (n, p, first) = {task} failed: {type(exc).__name__}: {exc}"
         ) from exc
-    return classes
+    return cells
 
 
-def _merge_cells(parts: Iterable[dict]) -> list[tuple]:
-    """The records of the task tables, in task order as ``parts`` yields
-    them.  No class is in two tables (see ``_sweep_chunk``), so the records
-    are joined as they are, and no table is kept once it is read."""
-    return [record for part in parts for record in part.values()]
+def _merge_cells(parts: Iterable[dict]) -> dict:
+    """The sweep's cells: the task cells folded by ``_fold``, in task order
+    as ``parts`` yields them, so the ties keep one order whatever the worker
+    count.  No class is in two tasks (see ``_sweep_chunk``), so no count or
+    tie is folded twice, and no task's cells are kept once they are read."""
+    cells: dict = {}
+    for part in parts:
+        for key, cell in part.items():
+            cells[key] = _fold(cells.get(key), *cell)
+    return cells
 
 
 def _sweep_tasks(n: int) -> list[tuple[int, int, int]]:
@@ -404,15 +438,16 @@ def _sweep_tasks(n: int) -> list[tuple[int, int, int]]:
 
 
 @lru_cache(maxsize=1)
-def _sweep(n: int, workers: int, /) -> list[tuple]:
-    """The class records of the full order-``n`` sweep (see ``_sweep_chunk``):
-    the task tables joined by ``_merge_cells``, from the tasks run one by
-    one or in a pool.  This is the one place that sizes the pool:
-    ``workers`` 0 means one per CPU, a negative count is a ``ValueError``,
-    and no more workers start than there are CPUs or tasks.  Both arguments
-    are positional, so the cache keys a call one way; it keeps only the
-    latest sweep, as callers walk orders in turn.  Any order runs:
-    ``search_max`` checks the cap."""
+def _sweep(n: int, workers: int, /) -> dict:
+    """The cells of the full order-``n`` sweep, ``{(mode, c, index): [count,
+    best, ties]}`` (see ``_sweep_chunk``): the task cells folded by
+    ``_merge_cells``, from the tasks run one by one or in a pool.  This is
+    the one place that sizes the pool: ``workers`` 0 means one per CPU, a
+    negative count is a ``ValueError``, and no more workers start than
+    there are CPUs or tasks.  Both arguments are positional, so the cache
+    keys a call one way; it keeps only the latest sweep, as callers walk
+    orders in turn, and callers only read the cells it shares.  Any order
+    runs: ``search_max`` checks the cap."""
     if workers < 0:
         raise ValueError(f"workers must be nonnegative, got {workers}")
     tasks = _sweep_tasks(n)
@@ -442,9 +477,11 @@ def _dedup_isomorphic(ties: list[tuple[int, ...]]) -> list[str]:
 def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> SearchReport:
     """Maximize ``spec.index`` over the connectivity class of ``spec``.
 
+    The sweep's cell ``(spec.mode, spec.c, spec.index)`` is the answer.
     ``at_least=True`` unions the classes with connectivity >= ``spec.c``
-    instead of exactly ``spec.c`` (the prediction then comes from the
-    best-predicted class in the union).
+    instead of exactly ``spec.c``: their cells are folded by ``_fold`` into
+    a new cell, so the cached ones stay as they are (the prediction then
+    comes from the best-predicted class in the union).
 
     ``graphs_enumerated`` counts the labeled class members, as
     ``enumerate_class`` yields them.  Maximizers are reported as the
@@ -456,11 +493,14 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     """
     _check_sweep_order(spec.n)
     start = time.perf_counter()
-    which, i = MODES.index(spec.mode), INDICES.index(spec.index)
+    cells = _sweep(spec.n, workers)
     values = range(spec.c, spec.n // 2 + 1) if at_least else (spec.c,)
-    members = [record for record in _sweep(spec.n, workers) if record[1][which] in values]
-    count = sum(weight for weight, _, _, _ in members)
-    best = max((found[i] for _, _, found, _ in members), default=None)
+    union = None
+    for c in values:
+        cell = cells.get((spec.mode, c, spec.index))
+        if cell is not None:
+            union = _fold(union, *cell)
+    count, best, ties = union or (0, None, ())
     note = None
 
     predicted = None
@@ -477,7 +517,7 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
         note = f"no prediction below order {MIN_FAMILY_ORDER}"
     predicted_graph = None if predicted is None else encode_graph6(predicted).decode("ascii")
 
-    maximizers = _dedup_isomorphic([masks for _, _, found, masks in members if found[i] == best])
+    maximizers = _dedup_isomorphic(ties)
     if not count:
         note = "empty class"
     elif len(maximizers) > 1 and note is None:

@@ -1,5 +1,6 @@
-"""Shared graph generators for the test suite, and ``run_python`` and
-``run_zex`` for tests that need a fresh interpreter with a timeout.
+"""Shared graph generators for the test suite, ``run_python`` and
+``run_zex`` for tests that need a fresh interpreter with a timeout, and
+``sweep_classes`` for tests that read the sweep's classes one by one.
 
 Randomized suites use ``random.Random`` seeded with DEFAULT_SEED for CI
 determinism; hypothesis-based properties derandomize themselves.
@@ -14,6 +15,7 @@ import sys
 from itertools import combinations, permutations
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from zex import Graph
@@ -42,6 +44,29 @@ def _run_fresh(args: list[str], timeout: float) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def sweep_classes(n: int) -> dict[tuple[int, int, int], list[tuple]]:
+    """``{task: [(masks, connectivity, values), ...]}`` over the tasks of the
+    order-``n`` sweep: each class a task classifies, in walk order, as the
+    leaf's single ``search._connectivity(masks)`` call sees and returns it.
+    A class in two tasks is listed in both."""
+    import zex.search as search
+
+    classify = search._connectivity
+    found = {}
+
+    def recording(masks):
+        result = classify(masks)
+        found[task].append((tuple(masks), *result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_connectivity", recording)
+        for task in search._sweep_tasks(n):
+            found[task] = []
+            search._sweep_chunk(task)
+    return found
 
 
 def row_and_column_class(rows: tuple[int, ...], q: int) -> tuple[int, ...]:

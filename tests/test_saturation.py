@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import pytest
 
-import zex.search as search_module
+from conftest import sweep_classes
 from zex import (
     Graph,
     bipartition_of,
@@ -38,11 +38,12 @@ from zex import (
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple:
     """One ``(graph, (kappa, lambda), (M1, M2))`` per connected bipartite class of
-    order ``n``, from the serial sweep's class records at any order."""
+    order ``n``, as the sweep's tasks classify them at any order."""
     return tuple(
         (Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1]),
          connectivity, values)
-        for _, connectivity, values, masks in search_module._sweep(n, 1)
+        for classes in sweep_classes(n).values()
+        for masks, connectivity, values in classes
     )
 
 

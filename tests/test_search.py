@@ -11,7 +11,7 @@ from operator import or_
 
 import pytest
 
-from conftest import DEFAULT_SEED, random_graph, row_and_column_class, run_python
+from conftest import DEFAULT_SEED, random_graph, row_and_column_class, run_python, sweep_classes
 from zex import (
     Bipartition,
     FamilyParams,
@@ -221,21 +221,24 @@ class TestSearchMax:
         assert isinstance(d["maximizers"], list)
 
     def test_tied_maximizers_are_noted(self, monkeypatch):
-        # no cell of orders 6-10 ties, so the sweep is replaced by two tied classes:
-        # two non-isomorphic order-7 graphs with kappa = lambda = 1 and (M1, M2) = (32, 35)
+        # no cell of orders 6-10 ties, so the sweep is replaced by the two cells of two
+        # tied classes, 720 labeled graphs each: two non-isomorphic order-7 graphs with
+        # kappa = lambda = 1 and (M1, M2) = (32, 35)
         import zex.search as search_module
 
         tied = [Graph(7, [(0, 3), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6)]),
                 Graph(7, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 5), (2, 6)])]
         forms = sorted(canonical_form(g).decode("ascii") for g in tied)
         assert forms[0] != forms[1]
-        records = [(720, (1, 1), (m1(g), m2(g)), g.neighbor_masks) for g in tied]
-        assert records[0][2] == records[1][2] == (32, 35)
-        monkeypatch.setattr(search_module, "_sweep", lambda n, workers: records)
-        report = search_max(SearchSpec(7, "vertex", 1, "M1"))
-        assert report.note == "2 non-isomorphic maximizers tie"
-        assert report.maximizers == tuple(forms)
-        assert report.graphs_enumerated == 1440
+        assert [(m1(g), m2(g)) for g in tied] == [(32, 35)] * 2
+        cells = {("vertex", 1, index): [1440, value, [g.neighbor_masks for g in tied]]
+                 for index, value in (("M1", 32), ("M2", 35))}
+        monkeypatch.setattr(search_module, "_sweep", lambda n, workers: cells)
+        for index in ("M1", "M2"):
+            report = search_max(SearchSpec(7, "vertex", 1, index))
+            assert report.note == "2 non-isomorphic maximizers tie"
+            assert report.maximizers == tuple(forms)
+            assert report.graphs_enumerated == 1440
 
     def test_workers_do_not_change_results(self):
         import zex.search as search_module
@@ -283,36 +286,46 @@ class TestWeightedSweep:
             assert report.graphs_enumerated == expected, mode
 
     @pytest.mark.slow
-    def test_order11_through_its_tasks(self):
+    def test_order11_through_its_tasks(self, monkeypatch):
         # MAX_SWEEP_ORDER stays 10 for search_max; the sweep itself takes order 11
         import zex.search as search_module
         from zex import predicted_extremal
 
-        records = search_module._sweep(11, 1)
-        assert len(records) == 25598  # connected bipartite graphs of order 11
+        classify = search_module._connectivity
+        classified = []
+
+        def counting(masks):
+            classified.append(len(masks))
+            return classify(masks)
+
+        monkeypatch.setattr(search_module, "_connectivity", counting)
+        search_module._sweep.cache_clear()
+        cells = search_module._sweep(11, 1)
+        assert len(classified) == 25598  # connected bipartite graphs of order 11
         expected = sum(_connected_spanning(p, 11 - p) for p in range(6))
         assert expected == 973422173
-        counts = Counter()
-        maxima = {}
-        for weight, connectivity, values, _ in records:
-            for cell in zip(("vertex", "edge"), connectivity):
-                counts[cell] += weight
-                maxima[cell] = tuple(map(max, maxima.get(cell, values), values))
-        assert sorted(counts) == [(mode, c) for mode in ("edge", "vertex") for c in range(1, 6)]
+        assert sorted(cells) == [
+            (mode, c, index) for mode in ("edge", "vertex") for c in range(1, 6) for index in ("M1", "M2")
+        ]
         for mode in ("vertex", "edge"):
-            assert sum(counts[mode, c] for c in range(1, 6)) == expected, mode
+            for index in ("M1", "M2"):
+                assert sum(cells[mode, c, index][0] for c in range(1, 6)) == expected, (mode, index)
             for c in range(1, 6):
                 graph = predicted_extremal(11, c, mode)
-                assert maxima[mode, c] == (m1(graph), m2(graph)), (mode, c)
+                maxima = (cells[mode, c, "M1"][1], cells[mode, c, "M2"][1])
+                assert maxima == (m1(graph), m2(graph)), (mode, c)
 
     @pytest.mark.slow
     def test_order11_pooled_equals_serial(self):
-        # the pooled path past order 10: the same records, in any order
+        # the pooled path past order 10: the same cells, each with the same count,
+        # maximum and ties in the same order, as the task cells are folded in task order
         import zex.search as search_module
 
-        pooled = Counter(search_module._sweep(11, 2))
-        assert pooled == Counter(search_module._sweep(11, 1))
-        assert sum(pooled.values()) == 25598
+        pooled = search_module._sweep(11, 2)
+        assert pooled == search_module._sweep(11, 1)
+        assert len(pooled) == 20
+        for mode in ("vertex", "edge"):
+            assert sum(pooled[mode, c, "M1"][0] for c in range(1, 6)) == 973422173, mode
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_maximizers_are_the_argmax_classes(self, n):
@@ -456,15 +469,13 @@ def _moebius(k):
 
 
 def _task_class_counts(n):
-    """Classes per part size, summed over the task tables of the order-``n`` sweep,
-    so a class in two tasks counts twice."""
-    import zex.search as search_module
-
-    return Counter(p for task in search_module._sweep_tasks(n) for p, _ in search_module._sweep_chunk(task))
+    """Classes per part size, summed over the tasks of the order-``n`` sweep, so a
+    class in two tasks counts twice."""
+    return Counter(p for (_, p, _), classes in sweep_classes(n).items() for _ in classes)
 
 
 class TestBurnsideClassCount:
-    """The classes in the sweep's task tables against a count with no sweep."""
+    """The classes the sweep's tasks classify against a count with no sweep."""
 
     def test_counts_at_orders_10_and_11(self):
         counts = _bicoloured_classes(11)
@@ -477,19 +488,23 @@ class TestBurnsideClassCount:
         assert _task_class_counts(n) == {p: counts[p, n - p] for p in range(1, n // 2 + 1)}
 
     def test_a_dropped_class_fails_the_count(self, monkeypatch):
-        # a mutant sweep that loses one class of task (7, 2, 3) must not pass
+        # a mutant sweep that loses one class of task (7, 2, 3) must not pass: its class
+        # key maps the task's second class onto the first's, so the walk skips it as seen
         import zex.search as search_module
 
-        chunk = search_module._sweep_chunk
+        key_of = search_module._class_key
+        keys = []
 
-        def dropping(task):
-            table = chunk(task)
-            if task == (7, 2, 3):
-                assert table
-                del table[next(iter(table))]
-            return table
+        def merging(masks, p):
+            key, aut = key_of(masks, p)
+            if (len(masks), p, masks[0] >> p) == (7, 2, 3):
+                if key not in keys:
+                    keys.append(key)
+                if keys[1:2] == [key]:
+                    return keys[0], aut
+            return key, aut
 
-        monkeypatch.setattr(search_module, "_sweep_chunk", dropping)
+        monkeypatch.setattr(search_module, "_class_key", merging)
         counts = _bicoloured_classes(7)
         found = _task_class_counts(7)
         assert found != {p: counts[p, 7 - p] for p in range(1, 4)}
@@ -541,19 +556,26 @@ def _flat_chunk(n, p, lo, hi):
     return cells
 
 
+def _flat_merge(merged, key, count, by_index):
+    """Fold one flat cell into ``merged[key]`` by max-with-tie-union: counts add, and per
+    index the greater maximum wins and equal maxima join their ties."""
+    cell = merged.setdefault(key, [0, {"M1": [-1, []], "M2": [-1, []]}])
+    cell[0] += count
+    for index, (best, ties) in by_index.items():
+        mine = cell[1][index]
+        if best > mine[0]:
+            mine[:] = [best, []]
+        if best == mine[0]:
+            mine[1].extend(ties)
+
+
+@cache
 def _flat_sweep(n):
-    """The flat walk over every first row of every part size, merged by max-with-tie-union."""
+    """The flat walk over every first row of every part size, merged by ``_flat_merge``."""
     merged = {}
     for p in range(1, n // 2 + 1):
         for key, (count, by_index) in _flat_chunk(n, p, 1, 1 << (n - p)).items():
-            cell = merged.setdefault(key, [0, {"M1": [-1, []], "M2": [-1, []]}])
-            cell[0] += count
-            for index, (best, ties) in by_index.items():
-                mine = cell[1][index]
-                if best > mine[0]:
-                    mine[:] = [best, []]
-                if best == mine[0]:
-                    mine[1].extend(ties)
+            _flat_merge(merged, key, count, by_index)
     return merged
 
 
@@ -570,7 +592,7 @@ class TestSweepWalk:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_every_task_matches_the_flat_walk(self, n):
-        # every cell queried from the sweep's class records against the flat walk over every task
+        # every cell read from the sweep's cells against the flat walk over every task
         import zex.search as search_module
 
         assert any(p == 1 for _, p, _ in search_module._sweep_tasks(n))  # no row below the first
@@ -584,6 +606,55 @@ class TestSweepWalk:
                     assert report.graphs_enumerated == count, (mode, c)
                     assert report.max_value == best, (mode, c, index)
                     assert set(report.maximizers) == {f.decode() for f in _forms(n, ties)}, (mode, c, index)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_at_least_matches_the_flat_walk(self, n):
+        # every --at-least report against the flat cells c' >= c, joined by the flat
+        # walk's own tie merge: count, maximum and maximizer forms
+        flat = _flat_sweep(n)
+        for mode in ("vertex", "edge"):
+            for c in range(1, n // 2 + 2):
+                union = {}
+                for above in range(c, n // 2 + 2):
+                    if (mode, above) in flat:
+                        _flat_merge(union, mode, *flat[mode, above])
+                count, by_index = union.get(mode, (0, {}))
+                for index in ("M1", "M2"):
+                    best, ties = by_index.get(index, (None, []))
+                    report = search_max(SearchSpec(n, mode, c, index), at_least=True)
+                    assert report.graphs_enumerated == count, (mode, c)
+                    assert report.max_value == best, (mode, c, index)
+                    assert set(report.maximizers) == {f.decode() for f in _forms(n, ties)}, (mode, c, index)
+
+    def test_queries_leave_the_cached_cells_unchanged(self, monkeypatch):
+        # search_max folds cells into a new one, so every query, exact or --at-least,
+        # leaves the cached cells as the sweep made them
+        import copy
+
+        import zex.search as search_module
+
+        search_module._sweep.cache_clear()
+        cells = search_module._sweep(8, 1)
+        before = copy.deepcopy(cells)
+        for mode, c, index, at_least in itertools.product(
+            ("vertex", "edge"), range(1, 6), ("M1", "M2"), (False, True)
+        ):
+            search_max(SearchSpec(8, mode, c, index), at_least=at_least)
+        assert search_module._sweep(8, 1) is cells
+        assert cells == before
+        # at orders 3-10 no two cells of one mode and index share a maximum, so joining
+        # ties across cells is checked on two patched cells of one class each: order-7
+        # graphs with kappa = 1 and 2 and M1 = 48
+        tied = [Graph(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)]),
+                Graph(7, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 6), (2, 3), (2, 5), (2, 6)])]
+        assert [(vertex_connectivity_value(g), m1(g)) for g in tied] == [(1, 48), (2, 48)]
+        cells = {("vertex", c, "M1"): [1, 48, [g.neighbor_masks]] for c, g in enumerate(tied, 1)}
+        before = copy.deepcopy(cells)
+        monkeypatch.setattr(search_module, "_sweep", lambda n, workers: cells)
+        report = search_max(SearchSpec(7, "vertex", 1, "M1"), at_least=True)
+        assert report.note == "2 non-isomorphic maximizers tie"
+        assert report.graphs_enumerated == 2
+        assert cells == before
 
     def test_walk_visits_every_row_and_column_class(self, monkeypatch):
         # Lubiw: every 0/1 matrix has a doubly lexical row and column order, so every
@@ -811,7 +882,8 @@ class TestSweepCache:
 
 class TestSweepWorkIsDoneOnce:
     def test_serial_sweep_classifies_each_class_once(self, monkeypatch):
-        # a table per task, and no class in two tasks: their sizes sum to the class count
+        # each task classifies its own classes, and no class is in two tasks: the
+        # classes per task sum to the class count, and their keys are all distinct
         import zex.search as search_module
 
         classify = search_module._connectivity
@@ -828,9 +900,13 @@ class TestSweepWorkIsDoneOnce:
         assert calls == {6: 20, 7: 44, 8: 239, 9: 730}
         monkeypatch.setattr(search_module, "_connectivity", classify)
         for n in range(6, 10):
-            per_task = [search_module._sweep_chunk(task) for task in search_module._sweep_tasks(n)]
-            assert len(set().union(*per_task)) == calls[n], n
-            assert sum(map(len, per_task)) == calls[n], n
+            keys = [
+                (p, search_module._class_key(masks, p)[0])
+                for (_, p, _), classes in sweep_classes(n).items()
+                for masks, _, _ in classes
+            ]
+            assert len(set(keys)) == calls[n], n
+            assert len(keys) == calls[n], n
 
     def test_verify_canonicalizes_each_graph_once(self, monkeypatch, capsys):
         # the ties and predicted graphs of orders 6-9 are 26 distinct graphs; uncached, 112 calls
