@@ -11,12 +11,18 @@ Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
 vertex 0; vertex connectivity is ``_vertex_scan``, flows between Even's
 pairs (``_even_pairs``) in the vertex-split digraph (``_split``).
 Witnesses are the lexicographically smallest minimum cuts, found greedily by
-``_lex_min_vertex_cut`` and ``_lex_min_edge_cut``.  Integer flows make
-every value exact; all functions are pure.
+``_lex_min_vertex_cut`` and ``_lex_min_edge_cut``.  Before any flow, each
+greedy tries a certificate read off the masks of the live graph: a vertex
+or endpoint whose star is a minimum cut accepts a candidate, and, for the
+vertex greedy, neighbors that share enough common neighbors reject one
+(``_star_cut``, ``_joined``).  A certificate decides as the flow would, so
+flows remain the fallback and the witnesses do not change.  Integer flows
+make every value exact; all functions are pure.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from . import _NAMES
@@ -58,10 +64,18 @@ def _augment(arcs: Sequence[int], fwd: list[int], back: list[int], s: int, t: in
     residual masks ``(arcs[u] & ~fwd[u]) | back[u]`` of the frontier's
     nodes, less the nodes already seen, and a layer stops as soon as t's bit
     shows up.  The walk back from t then takes, at each stored frontier, its
-    lowest node whose residual mask holds the current node.  It pushes the
+    highest node whose residual mask holds the current node.  It pushes the
     unit on that arc before moving on, which is safe because the frontiers
     are disjoint: a frontier's residual masks are read before any of its
     nodes is touched.
+
+    Taking the highest node only picks one of the shortest paths, so no flow
+    value changes.  It matters to the vertex witness greedy, which tries
+    candidates in increasing order and repairs a kept path whenever the
+    candidate lies on it: a path through high labels is met late, if at
+    all.  On the ladder P_m x K2 in its natural labels, a lowest-node walk
+    would lead each repaired path through the next candidate, so the greedy
+    would repair every pair at every step.
     """
     layers = []
     frontier = 1 << s
@@ -84,8 +98,8 @@ def _augment(arcs: Sequence[int], fwd: list[int], back: list[int], s: int, t: in
     v = t
     for layer in reversed(layers):
         while True:
-            low = layer & -layer
-            u = low.bit_length() - 1
+            u = layer.bit_length() - 1
+            low = 1 << u
             if back[u] >> v & 1:
                 back[u] ^= 1 << v
                 fwd[v] ^= 1 << u
@@ -308,6 +322,25 @@ def _path_bits(paths: list[list[int]]) -> int:
     return used
 
 
+def _star_cut(masks: Sequence[int], near: int, alive: int, cap: int) -> bool:
+    """True when some vertex w of ``near`` has exactly ``cap`` neighbors in ``alive``
+    and at least two vertices of ``alive`` (w itself and another) lie outside them.
+
+    The neighbors of w in ``alive`` then separate w from that other vertex.
+    """
+    return any(
+        (masks[w] & alive).bit_count() == cap and (alive & ~masks[w]).bit_count() >= 2
+        for w in _bits(near)
+    )
+
+
+def _joined(masks: Sequence[int], near: int, live: int, cap: int) -> bool:
+    """True when every two vertices of ``near`` have at least ``cap`` common
+    neighbors in ``live``."""
+    heads = [masks[a] & live for a in _bits(near)]
+    return all((x & y).bit_count() >= cap for x, y in combinations(heads, 2))
+
+
 def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     """Lexicographically smallest vertex set of size kappa whose removal disconnects g
     (none for a complete graph, which has no non-adjacent pair).
@@ -315,30 +348,50 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     The greedy is exact: a vertex joins the kept set F when removing it
     leaves connectivity exactly kappa - |F| - 1, and removing any set T
     leaves at least kappa - |T| (``_lex_min_edge_cut`` is the same greedy on
-    edges).  It keeps one flow per Even pair: s among the first kappa + 1
-    vertices and a later non-neighbor t.  If G - F - v has a cut S' of size
-    kappa - |F| - 1, then F + v + S' has at most kappa vertices, so by
-    Even's rule (see ``_vertex_scan``) it separates such a pair whose source
-    ranks below kappa - |F| among the live vertices of G - F - v; the pairs
-    therefore serve every step, once those containing a chosen vertex are
-    dropped, and a step reads only the pairs with such a source.
+    edges).  So with cap = kappa - |F| = kappa(G - F), candidate v joins F
+    iff G - F - v has a cut S' of cap - 1 vertices.
+
+    Two certificates on the live graph G - F decide most candidates before
+    any flow; each decides as the flows below would, so the witness is the
+    same either way.
+
+    * Accept (``_star_cut``): v has a live neighbor w of live degree cap, and
+      at least two live vertices, w and some x, lie outside N(w).  Then
+      N_live(w) separates w from x, so it is a cut of G - F of size cap,
+      and it contains v: S' = N_live(w) - v cuts G - F - v.
+    * Reject (``_joined``): every two live neighbors of v share at least cap
+      live common neighbors other than v.  Suppose S' cut G - F - v.  Any two
+      neighbors of v outside S' keep a common neighbor outside S', which
+      has only cap - 1 vertices, so they lie in one component, and putting
+      v back merges no two components.  S' would then cut G - F with fewer
+      than kappa(G - F) = cap vertices, which is impossible.
+
+    The flows decide the rest.  The greedy keeps one flow per Even pair: s
+    among the first kappa + 1 vertices and a later non-neighbor t.  If
+    G - F - v has a cut S' of size cap - 1, then F + v + S' has at most
+    kappa vertices, so by Even's rule (see ``_vertex_scan``) it separates
+    such a pair whose source ranks below cap among the live vertices of
+    G - F - v; the pairs therefore serve every step, once those containing
+    a chosen vertex are dropped, and a step reads only the pairs with such
+    a source.
 
     Each pair keeps a flow as vertex paths and a bitmask of their inner
     vertices.  It is read, for candidate v with gone = F + v, only when v is
     not an endpoint and the mask meets gone: the paths that meet gone are
-    dropped, and if fewer than cap = kappa - |F| remain, one ``_augmented``
-    call, with v's in -> out arc cleared, repairs the flow, capped at cap, in
-    G - F - v.  Candidate v joins F iff the repair falls short: the local
-    connectivity in G - F - v is then cap - 1.  A new pair has no paths and an
-    all-ones mask, so its first read builds its flow by the same rule.
+    dropped, and if fewer than cap remain, one ``_augmented`` call, with v's
+    in -> out arc cleared, repairs the flow, capped at cap, in G - F - v.
+    Candidate v joins F iff the repair falls short: the local connectivity
+    in G - F - v is then cap - 1.  A new pair has no paths and an all-ones
+    mask, so its first read builds its flow by the same rule.
 
     The rule is exact although a flow is only tidied when read.  At its last
     read, with the F' of that moment (v included if it was accepted), a pair
     had at least kappa - |F'| paths avoiding F'.  Its paths are internally
-    disjoint, so each vertex chosen since removes at most one of them, and at
-    least cap are left for the current F.  So a read whose mask misses v never
-    searches, a repaired flow avoids v and is a flow of G - F, and a candidate
-    costs at most one search per pair, not a scan.
+    disjoint, so each vertex chosen since, by a certificate or a flow,
+    removes at most one of them, and at least cap are left for the current
+    F.  So a read whose mask misses v never searches, a repaired flow avoids
+    v and is a flow of G - F, and a candidate costs at most one search per
+    pair, not a scan.
     """
     masks = g.neighbor_masks
     if kappa == 1:
@@ -355,30 +408,37 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
         cap = kappa - len(chosen)
         if cap <= 0:
             break
-        split[2 * v] = 0
-        gone = {*chosen, v}
-        # Even's rule: the source ranks below cap among the live vertices of G - F - v
-        sources = live = alive ^ 1 << v
-        for _ in range(cap - 1):
-            sources &= sources - 1
-        last = (sources & -sources).bit_length() - 1
-        cut = False
-        for pair in pairs:
-            s, t, paths, used = pair
-            if s > last:
-                break
-            if v == s or v == t or not used & ~live:
-                continue
-            paths = [path for path in paths if gone.isdisjoint(path)]
-            if len(paths) < cap:
-                paths = _augmented(split, s, t, paths, cap)
-            pair[2], pair[3] = paths, _path_bits(paths)
-            cut = len(paths) < cap
-            if cut:
-                break
+        live = alive ^ 1 << v
+        near = masks[v] & live
+        # the certificates first; the pair flows decide v only when neither applies
+        cut = _star_cut(masks, near, alive, cap)
         if not cut:
-            split[2 * v] = 1 << 2 * v + 1
-            continue
+            if _joined(masks, near, live, cap):
+                continue
+            split[2 * v] = 0
+            gone = {*chosen, v}
+            # Even's rule: the source ranks below cap among the live vertices of G - F - v
+            sources = live
+            for _ in range(cap - 1):
+                sources &= sources - 1
+            last = (sources & -sources).bit_length() - 1
+            for pair in pairs:
+                s, t, paths, used = pair
+                if s > last:
+                    break
+                if v == s or v == t or not used & ~live:
+                    continue
+                paths = [path for path in paths if gone.isdisjoint(path)]
+                if len(paths) < cap:
+                    paths = _augmented(split, s, t, paths, cap)
+                pair[2], pair[3] = paths, _path_bits(paths)
+                cut = len(paths) < cap
+                if cut:
+                    break
+            if not cut:
+                split[2 * v] = 1 << 2 * v + 1
+                continue
+        split[2 * v] = 0
         chosen.append(v)
         alive = live
         pairs = [pair for pair in pairs if v != pair[0] and v != pair[1]]
@@ -393,6 +453,11 @@ def _lex_min_edge_cut(g: Graph, kappa_p: int) -> tuple[tuple[int, int], ...]:
     separate u from v (one that left them together would already cut
     G - F), and the u-v flow in G - F - uv, capped at kappa' - |F|, decides
     the candidate (Menger; Ford and Fulkerson 1956).
+
+    A degree certificate decides many candidates with no flow: when u or v
+    has degree rest = kappa' - |F| - 1 in G - F - uv, its star there, with F
+    and uv, is a cut of kappa' edges that isolates it, so uv joins F, as the
+    flow (at least rest, since lambda(G - F) = rest + 1) would decide.
     """
     chosen: list[tuple[int, int]] = []
     masks = list(g.neighbor_masks)
@@ -402,7 +467,11 @@ def _lex_min_edge_cut(g: Graph, kappa_p: int) -> tuple[tuple[int, int], ...]:
             break
         masks[u] ^= 1 << v
         masks[v] ^= 1 << u
-        if _edge_flow(masks, u, v, rest + 1) == rest:
+        if (
+            masks[u].bit_count() == rest
+            or masks[v].bit_count() == rest
+            or _edge_flow(masks, u, v, rest + 1) == rest
+        ):
             chosen.append((u, v))
         else:
             masks[u] ^= 1 << v

@@ -7,7 +7,7 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import DEFAULT_SEED, graphs, random_graph
+from conftest import DEFAULT_SEED, graphs, random_connected_bipartite, random_graph
 from zex import (
     FamilyParams,
     Graph,
@@ -248,14 +248,6 @@ class TestWitnesses:
         from zex import connectivity, predicted_extremal
         from zex.graphs import _bits
 
-        perm = list(range(20))
-        random.Random(DEFAULT_SEED).shuffle(perm)
-        g = predicted_extremal(20, 5).relabeled(perm)
-        kappa = vertex_connectivity_value(g)
-        full = (1 << g.n) - 1
-        even_pairs = sum(
-            1 for s in range(kappa + 1) for _ in _bits(full & ~g.neighbor_masks[s] & -(2 << s))
-        )
         augment = connectivity._augment
         searches = []
 
@@ -265,8 +257,26 @@ class TestWitnesses:
             return augment(arcs, fwd, back, s, t)
 
         monkeypatch.setattr(connectivity, "_augment", recording)
+        # the degree and common-neighbor certificates settle every candidate here
+        perm = list(range(20))
+        random.Random(DEFAULT_SEED).shuffle(perm)
+        g = predicted_extremal(20, 5).relabeled(perm)
+        cut = connectivity._lex_min_vertex_cut(g, vertex_connectivity_value(g))
+        assert len(cut) == 5 and searches == []
+        # a sparser graph leaves candidates to the pair flows
+        rng = random.Random(DEFAULT_SEED)
+        while True:
+            g = random_connected_bipartite(rng, 20)
+            kappa = vertex_connectivity_value(g)
+            if kappa >= 3:
+                break
+        searches.clear()
         cut = connectivity._lex_min_vertex_cut(g, kappa)
-        assert kappa == len(cut) == 5
+        assert len(cut) == kappa
+        full = (1 << g.n) - 1
+        even_pairs = sum(
+            1 for s in range(kappa + 1) for _ in _bits(full & ~g.neighbor_masks[s] & -(2 << s))
+        )
         # at most kappa searches for a pair's first flow, then one per candidate
         assert searches and len(searches) <= even_pairs * kappa + g.n * even_pairs
         steps = {}
@@ -277,24 +287,95 @@ class TestWitnesses:
             assert first <= kappa and all(count == 1 for count in repairs)
 
     def test_cut_vertex_witness_is_the_lex_min_minimum_cut(self):
-        # kappa = 1 takes the cut-vertex route; K2 has no cut vertex, so its witness is empty.
-        # minimum_vertex_cuts runs no flow (test_search.py pins that), so the reference
-        # is a route independent of the flows
-        from zex import connectivity, minimum_vertex_cuts
+        # every kappa >= 1 on every labeled graph of orders 2-6: kappa = 1 takes the
+        # cut-vertex route, kappa >= 2 the certificates and pair flows. Complete graphs
+        # have no vertex cut, so their witness is empty. minimum_vertex_cuts runs no flow
+        # (test_search.py pins that), so the reference is a route independent of the flows
+        from zex import minimum_vertex_cuts
 
-        checked = 0
+        kappas = Counter()
         for g in labeled_graphs(range(2, 7)):
-            if vertex_connectivity_value(g) != 1:
+            kappa, witness = vertex_connectivity(g)
+            if not kappa:
                 continue
             expected = min((tuple(sorted(cut)) for cut in minimum_vertex_cuts(g)), default=())
-            assert connectivity._lex_min_vertex_cut(g, 1) == expected, g
-            checked += 1
-        assert checked == 15858
+            assert witness.members == expected, g
+            kappas[kappa] += 1
+        assert kappas == {1: 15858, 2: 9822, 3: 1718, 4: 76, 5: 1}
+
+    def test_edge_witness_is_the_lex_first_disconnecting_edge_set(self):
+        # every lambda >= 1 on every labeled graph of orders 2-6, against the first
+        # disconnecting lambda-subset of the edges in lexicographic order; lambda is the
+        # brute-force edge boundary, so neither side runs a flow
+        def disconnected(n, removed):
+            masks = [0] * n
+            for u, v in removed:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            seen = frontier = 1
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = masks[low.bit_length() - 1] & ~seen
+                seen |= new
+                frontier |= new
+            return seen != (1 << n) - 1
+
+        lambdas = Counter()
+        for g in labeled_graphs(range(2, 7)):
+            lam = brute_force_edge_connectivity(g)
+            if not lam:
+                continue
+            edges = set(g.edges())
+            expected = next(
+                combo
+                for combo in combinations(g.edges(), lam)
+                if disconnected(g.n, edges.difference(combo))
+            )
+            value, witness = edge_connectivity(g)
+            assert (value, witness.members) == (lam, expected), g
+            lambdas[lam] += 1
+        assert lambdas == {1: 15243, 2: 10347, 3: 1808, 4: 76, 5: 1}
 
     def test_cut_vertex_witness_on_a_long_path(self):
         g = Graph(2000, [(v, v + 1) for v in range(1999)])
         value, witness = vertex_connectivity(g)
         assert (value, witness.members) == (1, (1,))
+
+    @pytest.mark.parametrize(
+        "n, edges, cut, most",
+        [
+            # the certificates settle every candidate: 0 joins by the star of 1, 1 keeps
+            # one live neighbor and stays, and 2 joins by the star of 1 in the cycle less
+            # 0. The value scan is not run: each of its Even pairs needs a search here
+            (2000, [(v, (v + 1) % 2000) for v in range(2000)], (0, 2), 0),
+            # the ladder P_100 x K2, top row 0-99 and bottom row 100-199: 0 joins by the
+            # star of 100, then the pair flows decide every top vertex. Their repaired
+            # paths take the highest labels, the bottom row, so the later top candidates
+            # miss them; paths through the top row would be repaired at every step
+            (
+                200,
+                [(v, v + 1) for v in chain(range(99), range(100, 199))]
+                + [(v, v + 100) for v in range(100)],
+                (0, 101),
+                200,
+            ),
+        ],
+        ids=["cycle", "ladder"],
+    )
+    def test_vertex_greedy_searches_on_long_sparse_graphs(self, n, edges, cut, most, monkeypatch):
+        from zex import connectivity
+
+        augment = connectivity._augment
+        searches = []
+
+        def recording(arcs, fwd, back, s, t):
+            searches.append((s, t))
+            return augment(arcs, fwd, back, s, t)
+
+        monkeypatch.setattr(connectivity, "_augment", recording)
+        assert connectivity._lex_min_vertex_cut(Graph(n, edges), 2) == cut
+        assert len(searches) <= most
 
     @pytest.mark.parametrize(
         "edges, expected",

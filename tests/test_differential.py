@@ -129,11 +129,12 @@ def test_witnesses_match_the_committed_reference(monkeypatch):
         assert (kappa, list(vcut.members)) == (e["kappa"], e["vertex_cut"]), e["g6"]
         assert (lam, [list(x) for x in ecut.members]) == (e["lambda"], e["edge_cut"]), e["g6"]
     # the flows of the value scans (Even's pairs for kappa, sinks t != 0 for lambda) and
-    # the augmenting searches left after the short-path seeds and repair top-ups, pinned
-    # so that a scan or flow change that runs more (or fewer) shows here
+    # the augmenting searches left after the short-path seeds, repair top-ups and the
+    # witness greedies' degree and common-neighbor certificates, pinned so that a scan,
+    # flow or certificate change that runs more (or fewer) shows here
     assert calls == {
-        ("vertex", "_vertex_flow"): 8138, ("vertex", "_augment"): 1863,
-        ("edge", "_edge_flow"): 13516, ("edge", "_augment"): 1495,
+        ("vertex", "_vertex_flow"): 8138, ("vertex", "_augment"): 524,
+        ("edge", "_edge_flow"): 12235, ("edge", "_augment"): 212,
     }
 
 
