@@ -30,7 +30,7 @@ _NAMES = {
     ),
     "connectivity": (
         "CutWitness", "vertex_connectivity", "edge_connectivity", "vertex_connectivity_value",
-        "edge_connectivity_value", "is_k_connected",
+        "edge_connectivity_value",
     ),
     "families": (
         "FamilyParams", "complete_bipartite", "build_family", "family_m1", "family_m2",
@@ -39,9 +39,7 @@ _NAMES = {
     "transforms": ("ShiftSpec", "add_edge", "shift_neighbors", "case1_rewire", "case2_rewire"),
     "search": (
         "SearchSpec", "SearchReport", "enumerate_class", "search_max",
-        "brute_force_vertex_connectivity", "brute_force_edge_connectivity",
-        "minimum_vertex_cuts", "has_straddling_min_cut", "cut_component_profile",
-        "SweepTaskError",
+        "brute_force_vertex_connectivity", "brute_force_edge_connectivity", "SweepTaskError",
     ),
 }
 # public name -> the module that owns it

@@ -244,9 +244,10 @@ def _even_pairs(masks: Sequence[int], sources: int) -> Iterator[tuple[int, int]]
             yield s, t
 
 
-def _vertex_scan(masks: Sequence[int], bound: int) -> int:
-    """min(bound, kappa) of the graph of ``masks``; a complete graph, which has no
-    non-adjacent pair, reads as ``bound``.
+def _vertex_scan(masks: Sequence[int]) -> int:
+    """kappa of the graph of ``masks``.  The scan starts from the minimum
+    degree delta, an upper bound, so a complete graph, which has no
+    non-adjacent pair, reads as delta = n - 1.
 
     kappa is the minimum over non-adjacent pairs ``(s, t)`` of the number of
     internally vertex-disjoint s-t paths, a flow in the vertex-split digraph
@@ -260,11 +261,11 @@ def _vertex_scan(masks: Sequence[int], bound: int) -> int:
     ranks at most kappa, below it, so the scan reaches that pair first.
     """
     full = (1 << len(masks)) - 1
-    if bound <= 1:
+    best = min(map(int.bit_count, masks))
+    if best <= 1:
         # kappa >= 1 iff the graph is connected, so no flow is needed
-        return bound if _reach(masks, 1, full) == full else 0
+        return best if _reach(masks, 1, full) == full else 0
     split = _split(masks)
-    best = bound
     for s, t in _even_pairs(masks, len(masks)):
         if s >= best:
             break
@@ -276,7 +277,7 @@ def vertex_connectivity_value(g: Graph) -> int:
     """Vertex connectivity: 0 for disconnected graphs and K1, n-1 for complete graphs."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
-    return _vertex_scan(g.neighbor_masks, min_degree(g))
+    return _vertex_scan(g.neighbor_masks)
 
 
 def edge_connectivity_value(g: Graph) -> int:
@@ -495,13 +496,3 @@ def edge_connectivity(g: Graph) -> tuple[int, CutWitness]:
     value = edge_connectivity_value(g)
     return value, CutWitness("edge-cut", _lex_min_edge_cut(g, value), value, complete=g.n == 1)
 
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """True iff the graph has more than ``k`` vertices and connectivity at least ``k``.
-
-    Kept beside ``vertex_connectivity_value`` because it caps every flow at
-    ``k``, so a threshold test never pays for the full connectivity.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return g.n > k and _vertex_scan(g.neighbor_masks, k) >= k

@@ -293,8 +293,8 @@ def bipartition_of(g: Graph) -> Optional[Bipartition]:
     Coloring proceeds per connected component by a search that pops a
     stack, from the smallest unvisited vertex, which lands in ``X``;
     isolated vertices therefore land in ``X`` as well.  It is the package's
-    bipartiteness check, and gives the classes that
-    ``has_straddling_min_cut`` takes.
+    bipartiteness check; the acceptance tests read the color classes of each
+    maximizer from it, to check that no minimum cut meets both.
     """
     color = [-1] * g.n
     masks = g.neighbor_masks

@@ -7,11 +7,12 @@ matrix, ``q = n - p``, whose rows are the neighborhoods of vertices
 index values of a connected graph.  ``enumerate_class`` yields every
 labeled pattern of one connectivity class; brute-force connectivity (the
 cross-check for the flow module, on the cut enumerator
-``graphs._vertex_cuts``) and minimum-cut predicates are also here.
-Maximizers are deduplicated by ``graphs.canonical_form``.  Nothing here
-imports the flow module ``connectivity``: the minimum-cut predicates take
-kappa from the brute-force route, so they stay a reference independent of
-the flows, and a ``zex verify`` process never loads the flow module.
+``graphs._vertex_cuts``) is also here.  Maximizers are deduplicated by
+``graphs.canonical_form``.  Nothing here imports the flow module
+``connectivity``: the sweep and the brute-force route read kappa and
+kappa' from the bitmask kernels ``_kappa_masks`` and ``_kappa_prime_masks``,
+so the brute-force route stays a reference independent of the flows, and a
+``zex verify`` process never loads the flow module.
 
 The sweep behind ``search_max`` walks only doubly lexical matrices: every
 0/1 matrix has a row and column order in which both rows and columns are
@@ -54,15 +55,12 @@ from .families import MIN_FAMILY_ORDER, predicted_extremal
 from .graphs import (
     INDICES,
     MODES,
-    Bipartition,
     Graph,
     _mask_edges,
     _mask_indices,
     _reach,
     _vertex_cuts,
-    bipartition_of,
     canonical_form,
-    connected_components,
     encode_graph6,
     index_value,
     is_connected,
@@ -536,51 +534,3 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
         note=note,
     )
 
-
-# -- structural cut predicates -------------------------------------------------
-
-def minimum_vertex_cuts(g: Graph) -> list[frozenset[int]]:
-    """All minimum vertex cuts, by enumerating subsets of size kappa; kappa
-    comes from ``brute_force_vertex_connectivity``, so no flow runs.
-
-    Empty for complete graphs (no vertex cut exists) and for graphs that
-    are already disconnected.
-    """
-    kappa = brute_force_vertex_connectivity(g)
-    if kappa == 0:
-        return []
-    # a complete graph has no disconnecting (n - 1)-subset, so it yields none
-    return [frozenset(cut) for cut in _vertex_cuts(g.neighbor_masks, kappa)]
-
-
-def has_straddling_min_cut(g: Graph, b: Bipartition) -> bool:
-    """True iff some minimum vertex cut meets both classes of ``b``.
-
-    Requires ``g`` connected, and ``b`` a bipartition of ``g``: disjoint
-    classes that cover its vertices, with every edge crossing them; else
-    ``ValueError``.  Nothing in the package calls it: it states acceptance
-    criterion 7, that no maximizer has a minimum cut meeting both color
-    classes.
-    """
-    if not is_connected(g):
-        raise ValueError("straddling-cut check requires a connected graph")
-    # a connected bipartite graph has one bipartition, up to the order of its classes
-    if bipartition_of(g) not in (b, b[::-1]):
-        raise ValueError(f"{b} is not a bipartition of the graph")
-    return any(s & b.X and s & b.Y for s in minimum_vertex_cuts(g))
-
-
-def cut_component_profile(g: Graph, s: frozenset[int]) -> list[int]:
-    """Sorted component orders of ``g`` minus the vertex cut ``s``.
-
-    Rejects ``s`` when ``g`` is disconnected or removing ``s`` leaves
-    fewer than two components (then ``s`` is not a vertex cut set).
-    Nothing in the package calls it: it states acceptance criterion 7, that
-    a one-sided minimum cut of a maximizer splits off a single vertex.
-    """
-    if not is_connected(g):
-        raise ValueError("cut profiles require a connected graph")
-    comps = connected_components(g, excluded=frozenset(s))
-    if len(comps) < 2:
-        raise ValueError(f"removing {sorted(s)} does not disconnect the graph")
-    return sorted(len(c) for c in comps)

@@ -1,6 +1,7 @@
 """Shared graph generators for the test suite, ``run_python`` and
-``run_zex`` for tests that need a fresh interpreter with a timeout, and
-``sweep_classes`` for tests that read the sweep's classes one by one.
+``run_zex`` for tests that need a fresh interpreter with a timeout,
+``sweep_classes`` for tests that read the sweep's classes one by one, and
+``minimum_vertex_cuts``, the flow-free reference for the minimum cuts.
 
 Randomized suites use ``random.Random`` seeded with DEFAULT_SEED for CI
 determinism; hypothesis-based properties derandomize themselves.
@@ -67,6 +68,18 @@ def sweep_classes(n: int) -> dict[tuple[int, int, int], list[tuple]]:
             found[task] = []
             search._sweep_chunk(task)
     return found
+
+
+def minimum_vertex_cuts(g: Graph) -> list[frozenset[int]]:
+    """All minimum vertex cuts, as the subsets of size kappa whose removal
+    disconnects ``g``; kappa is the brute-force value, so no flow runs.
+    Empty for complete graphs (no subset disconnects them) and for graphs
+    that are already disconnected (kappa = 0)."""
+    from zex.graphs import _vertex_cuts
+    from zex.search import brute_force_vertex_connectivity
+
+    kappa = brute_force_vertex_connectivity(g)
+    return [frozenset(cut) for cut in _vertex_cuts(g.neighbor_masks, kappa)] if kappa else []
 
 
 def row_and_column_class(rows: tuple[int, ...], q: int) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ import random
 import time
 from itertools import combinations
 
-from conftest import DEFAULT_SEED, random_connected_bipartite, random_graph
+from conftest import DEFAULT_SEED, minimum_vertex_cuts, random_connected_bipartite, random_graph
 from zex import (
     FamilyParams,
     Graph,
@@ -20,16 +20,14 @@ from zex import (
     build_family,
     case1_rewire,
     case2_rewire,
-    cut_component_profile,
+    connected_components,
     decode_graph6,
     edge_connectivity_value,
     encode_graph6,
     family_m1,
     family_m2,
-    has_straddling_min_cut,
     m1,
     m2,
-    minimum_vertex_cuts,
     search_max,
     shift_neighbors,
     vertex_connectivity_value,
@@ -207,13 +205,15 @@ def test_criterion_7_maximizer_cut_structure():
                 g = decode_graph6(g6.encode("ascii"))
                 b = bipartition_of(g)
                 assert b is not None
-                assert has_straddling_min_cut(g, b) is False, (r.spec, g6)
+                cuts = minimum_vertex_cuts(g)
+                assert not any(cut & b.X and cut & b.Y for cut in cuts), (r.spec, g6)
                 straddle_checked += 1
-                for cut in minimum_vertex_cuts(g):
+                for cut in cuts:
                     within_part = cut <= b.X or cut <= b.Y
                     part = b.X if cut <= b.X else b.Y
                     if within_part and len(part) > len(cut):
-                        assert cut_component_profile(g, cut) == [1, n - c - 1], (
+                        profile = sorted(map(len, connected_components(g, cut)))
+                        assert profile == [1, n - c - 1], (
                             r.spec,
                             g6,
                             sorted(cut),

@@ -7,7 +7,13 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import DEFAULT_SEED, graphs, random_connected_bipartite, random_graph
+from conftest import (
+    DEFAULT_SEED,
+    graphs,
+    minimum_vertex_cuts,
+    random_connected_bipartite,
+    random_graph,
+)
 from zex import (
     FamilyParams,
     Graph,
@@ -17,7 +23,6 @@ from zex import (
     edge_connectivity,
     edge_connectivity_value,
     is_connected,
-    is_k_connected,
     min_degree,
     predicted_extremal,
     vertex_connectivity,
@@ -131,36 +136,7 @@ class TestMinDegreeAtMostOne:
             monkeypatch.setattr(connectivity, name, recording)
         for g in (tree, path):
             assert vertex_connectivity_value(g) == edge_connectivity_value(g) == 1
-            assert is_k_connected(g, 1)
         assert flows == []
-
-
-class TestIsKConnected:
-    def test_k22(self):
-        assert is_k_connected(complete_bipartite(2, 2), 2)
-        assert not is_k_connected(complete_bipartite(2, 2), 3)
-
-    def test_order_must_exceed_k(self):
-        assert not is_k_connected(Graph(1), 1)
-
-    def test_k_zero(self):
-        assert is_k_connected(Graph(2), 0)
-        with pytest.raises(ValueError):
-            is_k_connected(Graph(2), -1)
-
-    def test_flows_are_capped_at_k(self, monkeypatch):
-        from zex import connectivity
-
-        flow = connectivity._vertex_flow
-        cutoffs = []
-
-        def recording(split, s, t, cutoff):
-            cutoffs.append(cutoff)
-            return flow(split, s, t, cutoff)
-
-        monkeypatch.setattr(connectivity, "_vertex_flow", recording)
-        assert is_k_connected(complete_bipartite(10, 10), 2)
-        assert cutoffs and max(cutoffs) <= 2
 
 
 class TestDegreeChainFacts:
@@ -289,10 +265,9 @@ class TestWitnesses:
     def test_cut_vertex_witness_is_the_lex_min_minimum_cut(self):
         # every kappa >= 1 on every labeled graph of orders 2-6: kappa = 1 takes the
         # cut-vertex route, kappa >= 2 the certificates and pair flows. Complete graphs
-        # have no vertex cut, so their witness is empty. minimum_vertex_cuts runs no flow
-        # (test_search.py pins that), so the reference is a route independent of the flows
-        from zex import minimum_vertex_cuts
-
+        # have no vertex cut, so their witness is empty. conftest.minimum_vertex_cuts runs
+        # no flow (TestMinimumCuts.test_no_flow_runs in test_search.py pins that), so the
+        # reference is a route independent of the flows
         kappas = Counter()
         for g in labeled_graphs(range(2, 7)):
             kappa, witness = vertex_connectivity(g)

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DEFAULT_SEED, random_bipartite, random_connected_bipartite, random_graph
+from conftest import (
+    DEFAULT_SEED,
+    minimum_vertex_cuts,
+    random_bipartite,
+    random_connected_bipartite,
+    random_graph,
+)
 from zex import (
     FamilyParams,
     Graph,
@@ -22,7 +28,6 @@ from zex import (
     edge_connectivity,
     enumerate_class,
     is_connected,
-    minimum_vertex_cuts,
     predicted_extremal,
     vertex_connectivity,
     vertex_connectivity_value,

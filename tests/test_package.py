@@ -56,7 +56,7 @@ EARLIER_NAMES = {
     ),
     "connectivity": (
         "CutWitness", "vertex_connectivity", "edge_connectivity", "vertex_connectivity_value",
-        "edge_connectivity_value", "is_k_connected",
+        "edge_connectivity_value",
     ),
     "families": (
         "FamilyParams", "complete_bipartite", "build_family", "family_m1", "family_m2",
@@ -65,15 +65,18 @@ EARLIER_NAMES = {
     "transforms": ("ShiftSpec", "add_edge", "shift_neighbors", "case1_rewire", "case2_rewire"),
     "search": (
         "SearchSpec", "SearchReport", "enumerate_class", "search_max",
-        "brute_force_vertex_connectivity", "brute_force_edge_connectivity", "minimum_vertex_cuts",
-        "has_straddling_min_cut", "cut_component_profile", "canonical_form",
+        "brute_force_vertex_connectivity", "brute_force_edge_connectivity", "canonical_form",
     ),
 }
+# earlier top-level names that no command or report used; the tests build what
+# they checked from the remaining names (conftest.minimum_vertex_cuts)
+REMOVED_NAMES = ("is_k_connected", "minimum_vertex_cuts", "has_straddling_min_cut",
+                 "cut_component_profile")
 
 
 def test_earlier_names_resolve_to_their_module_objects():
     earlier = [name for names in EARLIER_NAMES.values() for name in names]
-    assert len(earlier) == 41
+    assert len(earlier) == 37
     for module_name, names in EARLIER_NAMES.items():
         module = importlib.import_module(f"zex.{module_name}")
         for name in names:
@@ -81,6 +84,15 @@ def test_earlier_names_resolve_to_their_module_objects():
     assert set(zex.__all__) - set(earlier) == {"MODES", "INDICES", "index_value", "SweepTaskError"}
     # the mode names live beside the index names
     assert zex.MODES is zex.graphs.MODES
+
+
+def test_removed_names_are_gone():
+    namespace = {}
+    exec("from zex import *", namespace)
+    for name in REMOVED_NAMES:
+        assert name not in namespace, name
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(zex, name)
 
 
 def test_all_is_the_union_of_the_module_lists():

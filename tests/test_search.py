@@ -1,4 +1,5 @@
-"""Oracle: class enumeration, extremal search, cut predicates, canonical form."""
+"""Oracle: class enumeration, extremal search, the cut structure of
+acceptance criterion 7, canonical form."""
 
 import itertools
 import pickle
@@ -11,7 +12,14 @@ from operator import or_
 
 import pytest
 
-from conftest import DEFAULT_SEED, random_graph, row_and_column_class, run_python, sweep_classes
+from conftest import (
+    DEFAULT_SEED,
+    minimum_vertex_cuts,
+    random_graph,
+    row_and_column_class,
+    run_python,
+    sweep_classes,
+)
 from zex import (
     Bipartition,
     FamilyParams,
@@ -22,20 +30,28 @@ from zex import (
     build_family,
     canonical_form,
     complete_bipartite,
-    cut_component_profile,
+    connected_components,
     decode_graph6,
     edge_connectivity_value,
     enumerate_class,
-    has_straddling_min_cut,
     m1,
     m2,
-    minimum_vertex_cuts,
     search_max,
     vertex_connectivity_value,
 )
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 C6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+
+
+def straddles(g, b):
+    """Whether some minimum vertex cut of ``g`` meets both classes of ``b``."""
+    return any(cut & b.X and cut & b.Y for cut in minimum_vertex_cuts(g))
+
+
+def profile(g, cut):
+    """Sorted component orders of ``g`` minus ``cut``."""
+    return sorted(map(len, connected_components(g, cut)))
 
 
 class TestSearchSpec:
@@ -1059,9 +1075,9 @@ class TestMinimumCuts:
         assert len(minimum_vertex_cuts(build_family(FamilyParams(8, 2, 3)))) == 1
         assert minimum_vertex_cuts(complete_bipartite(3, 3)) == [frozenset({0, 1, 2}),
                                                                  frozenset({3, 4, 5})]
-        assert has_straddling_min_cut(C6, bipartition_of(C6)) is True
+        assert straddles(C6, bipartition_of(C6)) is True
         g = build_family(FamilyParams(8, 2, 3))
-        assert has_straddling_min_cut(g, bipartition_of(g)) is False
+        assert straddles(g, bipartition_of(g)) is False
 
     def test_complete_graph_has_none(self):
         g = Graph(4, list(itertools.combinations(range(4), 2)))
@@ -1074,66 +1090,38 @@ class TestMinimumCuts:
 class TestStraddlingCut:
     def test_family_6_1_2(self):
         g = build_family(FamilyParams(6, 1, 2))
-        assert has_straddling_min_cut(g, bipartition_of(g)) is False
+        assert straddles(g, bipartition_of(g)) is False
 
     def test_six_cycle(self):
-        assert has_straddling_min_cut(C6, bipartition_of(C6)) is True
+        assert straddles(C6, bipartition_of(C6)) is True
 
     def test_k23(self):
         g = complete_bipartite(2, 3)
-        assert has_straddling_min_cut(g, bipartition_of(g)) is False
-        assert has_straddling_min_cut(g, Bipartition(frozenset({0, 1}), frozenset({2, 3, 4}))) is False
-        assert has_straddling_min_cut(g, Bipartition(frozenset({2, 3, 4}), frozenset({0, 1}))) is False
-
-    @pytest.mark.parametrize("x, y", [
-        ({0, 2}, {1, 3, 4}),  # edge 0-2 lies inside X
-        ({0, 1}, {2, 3}),  # vertex 4 is in neither class
-        ({0, 1, 2}, {2, 3, 4}),  # vertex 2 is in both
-    ])
-    def test_rejects_a_wrong_bipartition(self, x, y):
-        g = complete_bipartite(2, 3)
-        with pytest.raises(ValueError, match="not a bipartition"):
-            has_straddling_min_cut(g, Bipartition(frozenset(x), frozenset(y)))
-
-    def test_requires_connected(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="connected"):
-            has_straddling_min_cut(g, bipartition_of(g))
+        assert straddles(g, bipartition_of(g)) is False
+        assert straddles(g, Bipartition(frozenset({0, 1}), frozenset({2, 3, 4}))) is False
+        assert straddles(g, Bipartition(frozenset({2, 3, 4}), frozenset({0, 1}))) is False
 
 
 class TestCutComponentProfile:
     def test_family_7_1_3_hub_cut(self):
         g = build_family(FamilyParams(7, 1, 3))
-        assert cut_component_profile(g, frozenset({1})) == [1, 5]
+        assert profile(g, frozenset({1})) == [1, 5]
 
     def test_k23_small_side(self):
-        assert cut_component_profile(complete_bipartite(2, 3), frozenset({0, 1})) == [1, 1, 1]
+        assert profile(complete_bipartite(2, 3), frozenset({0, 1})) == [1, 1, 1]
 
     def test_path_middle_vertex(self):
-        assert cut_component_profile(P4, frozenset({1})) == [1, 2]
+        assert profile(P4, frozenset({1})) == [1, 2]
 
     def test_large_star(self):
         # one component per leaf: members are read off set bits, not a scan of all n labels
         done = run_python(
-            "from zex import complete_bipartite, cut_component_profile;"
-            "print(cut_component_profile(complete_bipartite(1, 50000), frozenset({0})) == [1] * 50000)"
+            "from zex import complete_bipartite, connected_components;"
+            "print(connected_components(complete_bipartite(1, 50000), frozenset({0}))"
+            " == [[v] for v in range(1, 50001)])"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "True"
-
-    def test_rejects_non_cut(self):
-        with pytest.raises(ValueError, match="does not disconnect"):
-            cut_component_profile(P4, frozenset({0}))
-
-    def test_rejects_disconnected_graph(self):
-        with pytest.raises(ValueError, match="connected"):
-            cut_component_profile(Graph(4, [(0, 1), (2, 3)]), frozenset({0}))
-
-    @pytest.mark.parametrize("bad", [99, -1])
-    def test_rejects_vertices_outside_the_graph(self, bad):
-        # once dropped, so {1, 99} and {1, -1} each read as a cut of the path
-        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=4"):
-            cut_component_profile(P4, frozenset({1, bad}))
 
 
 class TestCanonicalForm:
