@@ -7,9 +7,10 @@ greedy's ``_augmented``): it tops the kept paths up with ``_short_paths``,
 disjoint paths of at most three edges read off the neighbor masks, loads
 them as a flow and augments up to the cap, so in dense graphs most flows
 end without a search, and so does many a witness repair.
-Edge connectivity is the minimum over sinks ``t != 0`` of the flow from
-vertex 0; vertex connectivity is ``_vertex_scan``, flows between Even's
-pairs (``_even_pairs``) in the vertex-split digraph (``_split``).
+``_scan`` is the one value rule for both modes: edge connectivity is the
+least flow from vertex 0 to a sink ``t != 0``, and vertex connectivity the
+least flow between Even's pairs (``_even_pairs``) in the vertex-split
+digraph (``_split``), which the scan builds only when a flow is needed.
 Witnesses are the lexicographically smallest minimum cuts, found greedily by
 ``_lex_min_vertex_cut`` and ``_lex_min_edge_cut``.  Before any flow, each
 greedy tries a certificate read off the masks of the live graph: a vertex
@@ -23,10 +24,10 @@ make every value exact; all functions are pure.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _NAMES
-from .graphs import Graph, _bits, _reach, _vertex_cuts, is_connected, min_degree
+from .graphs import Graph, _bits, _reach, _vertex_cuts
 
 __all__ = list(_NAMES["connectivity"])
 
@@ -244,54 +245,48 @@ def _even_pairs(masks: Sequence[int], sources: int) -> Iterator[tuple[int, int]]
             yield s, t
 
 
-def _vertex_scan(masks: Sequence[int]) -> int:
-    """kappa of the graph of ``masks``.  The scan starts from the minimum
-    degree delta, an upper bound, so a complete graph, which has no
-    non-adjacent pair, reads as delta = n - 1.
+def _scan(masks: Sequence[int], digraph: Callable, flow: Callable, pairs: Iterable) -> int:
+    """The connectivity of the graph of ``masks``: the least ``flow`` in the
+    digraph ``digraph(masks)`` over ``pairs``, each capped at the best value
+    so far.  The scan starts from the minimum degree delta, an upper bound,
+    so a complete graph, which has no non-adjacent pair, reads as delta =
+    n - 1.  When delta <= 1 the value is delta if the graph is connected and
+    0 otherwise, so no flow runs and the digraph is never built.
 
-    kappa is the minimum over non-adjacent pairs ``(s, t)`` of the number of
-    internally vertex-disjoint s-t paths, a flow in the vertex-split digraph
-    (``_vertex_flow``, seeded by ``_short_paths``).
-    The sources obey Even's rule (Even, SIAM J. Comput. 1975; Esfahanian and
-    Hakimi, Networks 1984): of the first kappa + 1 vertices one lies outside
-    a minimum cut ``S``, and the first such one has all smaller vertices in
-    ``S``, so ``S`` separates it from a later vertex.  The scan therefore
-    stops at the first pair whose source's rank is not below the best value
-    found: while that value exceeds kappa, the separating pair's source
-    ranks at most kappa, below it, so the scan reaches that pair first.
+    The scan stops at the first pair whose source is not below the best
+    value.  For kappa, ``pairs`` are Even's pairs in the vertex-split
+    digraph (Even, SIAM J. Comput. 1975; Esfahanian and Hakimi, Networks
+    1984): of the first kappa + 1 vertices one lies outside a minimum cut
+    ``S``, and the first such one has all smaller vertices in ``S``, so
+    ``S`` separates it from a later vertex.  While the best value exceeds
+    kappa, the separating pair's source ranks at most kappa, below it, so
+    the scan reaches that pair first.  For lambda, ``pairs`` are ``(0, t)``
+    for every sink ``t != 0``, as every edge cut separates vertex 0 from
+    some vertex, and source 0 stops the scan only once the value is 0.
     """
+    if not masks:
+        raise ValueError("connectivity requires at least one vertex")
     full = (1 << len(masks)) - 1
     best = min(map(int.bit_count, masks))
     if best <= 1:
-        # kappa >= 1 iff the graph is connected, so no flow is needed
+        # the value is >= 1 iff the graph is connected, so no flow is needed
         return best if _reach(masks, 1, full) == full else 0
-    split = _split(masks)
-    for s, t in _even_pairs(masks, len(masks)):
+    arcs = digraph(masks)
+    for s, t in pairs:
         if s >= best:
             break
-        best = _vertex_flow(split, s, t, best)
+        best = flow(arcs, s, t, best)
     return best
 
 
 def vertex_connectivity_value(g: Graph) -> int:
     """Vertex connectivity: 0 for disconnected graphs and K1, n-1 for complete graphs."""
-    if g.n < 1:
-        raise ValueError("connectivity requires at least one vertex")
-    return _vertex_scan(g.neighbor_masks)
+    return _scan(g.neighbor_masks, _split, _vertex_flow, _even_pairs(g.neighbor_masks, g.n))
 
 
 def edge_connectivity_value(g: Graph) -> int:
     """Edge connectivity: 0 when disconnected or n = 1."""
-    if g.n < 1:
-        raise ValueError("connectivity requires at least one vertex")
-    best = min_degree(g)
-    if best <= 1:
-        # lambda >= 1 iff g is connected, so no flow is needed
-        return best if is_connected(g) else 0
-    for t in range(1, g.n):
-        if best:
-            best = _edge_flow(g.neighbor_masks, 0, t, best)
-    return best
+    return _scan(g.neighbor_masks, tuple, _edge_flow, ((0, t) for t in range(1, g.n)))
 
 
 def _augmented(
@@ -370,7 +365,7 @@ def _lex_min_vertex_cut(g: Graph, kappa: int) -> tuple[int, ...]:
     The flows decide the rest.  The greedy keeps one flow per Even pair: s
     among the first kappa + 1 vertices and a later non-neighbor t.  If
     G - F - v has a cut S' of size cap - 1, then F + v + S' has at most
-    kappa vertices, so by Even's rule (see ``_vertex_scan``) it separates
+    kappa vertices, so by Even's rule (see ``_scan``) it separates
     such a pair whose source ranks below cap among the live vertices of
     G - F - v; the pairs therefore serve every step, once those containing
     a chosen vertex are dropped, and a step reads only the pairs with such

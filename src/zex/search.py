@@ -5,11 +5,11 @@ matrix, ``q = n - p``, whose rows are the neighborhoods of vertices
 ``0..p-1``; rows are placed by ``_place_row`` and decoded by
 ``_bipartite_masks``, and ``_connectivity`` reads the connectivity and
 index values of a connected graph.  ``enumerate_class`` yields every
-labeled pattern of one connectivity class; brute-force connectivity (the
-cross-check for the flow module, on the cut enumerator
-``graphs._vertex_cuts``) is also here.  Maximizers are deduplicated by
-``graphs.canonical_form``.  Nothing here imports the flow module
-``connectivity``: the sweep and the brute-force route read kappa and
+labeled pattern of one connectivity class; brute-force connectivity
+(``_brute_force``, the cross-check for the flow module, on the cut
+enumerator ``graphs._vertex_cuts``) is also here.  Maximizers are
+deduplicated by ``graphs.canonical_form``.  Nothing here imports the flow
+module ``connectivity``: the sweep and the brute-force route read kappa and
 kappa' from the bitmask kernels ``_kappa_masks`` and ``_kappa_prime_masks``,
 so the brute-force route stays a reference independent of the flows, and a
 ``zex verify`` process never loads the flow module.
@@ -48,7 +48,7 @@ import time
 from functools import cache, lru_cache
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import _NAMES
 from .families import MIN_FAMILY_ORDER, predicted_extremal
@@ -142,7 +142,7 @@ def _connected_masks(parts: tuple[int, ...], row: int, columns: int) -> bool:
 def _kappa_masks(masks: list[int], bound: int) -> int:
     """Exact vertex connectivity of a connected graph given as bitmasks:
     the smallest cut size below ``bound``, else ``bound`` (the minimum
-    degree is a valid bound, and ``n - 1`` makes no assumption)."""
+    degree is a valid bound)."""
     for k in range(1, bound):
         if next(_vertex_cuts(masks, k), None) is not None:
             return k
@@ -218,22 +218,26 @@ def _masks_to_graph(masks: list[int]) -> Graph:
 
 # -- brute-force connectivity (independent oracle route) ----------------------
 
-def brute_force_vertex_connectivity(g: Graph) -> int:
-    """Vertex connectivity by enumerating vertex subsets in increasing size."""
+def _brute_force(g: Graph, kernel: Callable[[list[int], int], int]) -> int:
+    """``kernel(masks, delta)`` of a connected ``g``, 0 for a disconnected one.
+
+    The minimum degree delta bounds both values (kappa <= kappa' <= delta),
+    so no cut larger than delta is ever tried."""
     if g.n < 1:
         raise ValueError("connectivity requires at least one vertex")
     if not is_connected(g):
         return 0
-    return _kappa_masks(list(g.neighbor_masks), g.n - 1)
+    return kernel(list(g.neighbor_masks), min_degree(g))
+
+
+def brute_force_vertex_connectivity(g: Graph) -> int:
+    """Vertex connectivity by enumerating vertex subsets in increasing size."""
+    return _brute_force(g, _kappa_masks)
 
 
 def brute_force_edge_connectivity(g: Graph) -> int:
     """Edge connectivity as the minimum edge boundary over vertex subsets."""
-    if g.n < 1:
-        raise ValueError("connectivity requires at least one vertex")
-    if not is_connected(g):
-        return 0
-    return _kappa_prime_masks(list(g.neighbor_masks), min_degree(g))
+    return _brute_force(g, _kappa_prime_masks)
 
 
 # -- enumeration and extremal search ------------------------------------------
@@ -485,6 +489,8 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     ``enumerate_class`` yields them.  Maximizers are reported as the
     sorted graph6 strings of their canonical forms, one per isomorphism
     class; ``matches`` is true when the predicted graph is one of them.
+    ``note`` gives the first that holds: an empty class, an order below
+    ``MIN_FAMILY_ORDER`` (no prediction), or tied maximizers.
     ``workers`` caps the sweep's worker processes, and 0 means one per CPU,
     as ``ZEX_THREADS=0`` does; a negative count raises ``ValueError``.
     Orders above ``MAX_SWEEP_ORDER`` raise ``ValueError`` before any sweep.
@@ -492,33 +498,24 @@ def search_max(spec: SearchSpec, workers: int = 1, at_least: bool = False) -> Se
     _check_sweep_order(spec.n)
     start = time.perf_counter()
     cells = _sweep(spec.n, workers)
-    values = range(spec.c, spec.n // 2 + 1) if at_least else (spec.c,)
-    union = None
-    for c in values:
+    union = predicted = predicted_value = note = None
+    for c in range(spec.c, spec.n // 2 + 1) if at_least else (spec.c,):
         cell = cells.get((spec.mode, c, spec.index))
         if cell is not None:
             union = _fold(union, *cell)
-    count, best, ties = union or (0, None, ())
-    note = None
-
-    predicted = None
-    predicted_value = None
-    if spec.n >= MIN_FAMILY_ORDER:
-        for c in values:
-            if not 1 <= c <= spec.n // 2:
-                continue
+        if spec.n >= MIN_FAMILY_ORDER and c <= spec.n // 2:
             graph = predicted_extremal(spec.n, c, spec.mode)
             value = index_value(spec.index, graph)
             if predicted is None or value > predicted_value:
                 predicted, predicted_value = graph, value
-    else:
-        note = f"no prediction below order {MIN_FAMILY_ORDER}"
+    count, best, ties = union or (0, None, ())
     predicted_graph = None if predicted is None else encode_graph6(predicted).decode("ascii")
-
     maximizers = _dedup_isomorphic(ties)
     if not count:
         note = "empty class"
-    elif len(maximizers) > 1 and note is None:
+    elif spec.n < MIN_FAMILY_ORDER:
+        note = f"no prediction below order {MIN_FAMILY_ORDER}"
+    elif len(maximizers) > 1:
         # uniqueness of the maximizer is never assumed; ties are surfaced
         note = f"{len(maximizers)} non-isomorphic maximizers tie"
     matches = predicted is not None and _canonical(predicted.neighbor_masks) in maximizers

@@ -138,6 +138,19 @@ class TestMinDegreeAtMostOne:
             assert vertex_connectivity_value(g) == edge_connectivity_value(g) == 1
         assert flows == []
 
+    def test_paths_never_build_the_split(self, monkeypatch):
+        # the split digraph is built only once the delta <= 1 rule has not decided
+        from zex import connectivity
+
+        def no_split(masks):
+            raise AssertionError("the split digraph was built")
+
+        monkeypatch.setattr(connectivity, "_split", no_split)
+        path = Graph(300, [(v, v + 1) for v in range(299)])
+        assert vertex_connectivity_value(path) == edge_connectivity_value(path) == 1
+        value, witness = vertex_connectivity(path)
+        assert (value, witness.members) == (1, (1,))
+
 
 class TestDegreeChainFacts:
     @settings(max_examples=300, derandomize=True)

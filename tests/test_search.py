@@ -214,6 +214,16 @@ class TestSearchMax:
         assert not report.matches
         assert report.note == "no prediction below order 6"
 
+    @pytest.mark.parametrize("spec,at_least", [
+        (SearchSpec(4, "vertex", 3, "M1"), False),
+        (SearchSpec(5, "edge", 3, "M2"), True),
+    ])
+    def test_empty_class_note_comes_before_the_order_note(self, spec, at_least):
+        report = search_max(spec, at_least=at_least)
+        assert report.graphs_enumerated == 0
+        assert report.predicted_graph is None and report.predicted_value is None
+        assert report.note == "empty class"
+
     def test_at_least_unions_classes(self):
         report = search_max(SearchSpec(6, "vertex", 1, "M1"), at_least=True)
         assert report.max_value == 54  # the half-connectivity class dominates
